@@ -24,7 +24,7 @@ from scipy.stats import qmc
 
 from . import covertree as ct
 from . import diagnostics as dg
-from .kernels import Family, Kernel, gram
+from .kernels import Family, Kernel
 from .linalg import NumericalFailure, conjugate_gradient, spectrum, wasserstein2_gaussians
 from .sgp import (
     ClusteredModel,
@@ -35,6 +35,7 @@ from .sgp import (
     exact_posterior,
     fit_clustered,
     sample_prior,
+    shifted_gram,
     train,
 )
 
@@ -165,12 +166,6 @@ def query_grid(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + unit * (hi - lo)
 
 
-def _shifted_gram_of(model: ClusteredModel) -> np.ndarray:
-    A = gram(model.kernel, model.z)
-    A[np.diag_indices_from(A)] += model.lam
-    return A
-
-
 def synthetic_prior_dataset(d: int, n: int, sigma2: float, seed: int) -> Dataset:
     """Inputs uniform on [-5, 5]^d, targets drawn from the default prior plus noise."""
     rng = np.random.default_rng((seed, d, n))
@@ -196,7 +191,7 @@ def sweep_resolution_rows(d_list, n: int, epsilons, seeds, sigma2: float) -> lis
                     z = ct.inducing_points(tree)
                     model = fit_clustered(data, z, kernel, sigma2)
                     belief = clustered_posterior(model, grid)
-                    A = _shifted_gram_of(model)
+                    A, _ = shifted_gram(model)
                     report = conjugate_gradient(lambda w: A @ w, model.u, tag="kzz_plus_lambda")
                     row.update(
                         m=model.m,
@@ -290,7 +285,7 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
                         model = train(model, train_set, TrainConfig(steps=steps, seed=seed)).model
                     belief = clustered_posterior(model, test_set.X)
                     rmse = float(np.sqrt(np.mean((belief.mean - test_set.y) ** 2)))
-                    cond = spectrum(_shifted_gram_of(model)).cond
+                    cond = spectrum(shifted_gram(model)[0]).cond
                     row.update(m=model.m, cond=cond, rmse=rmse, status="ok")
                 except (NumericalFailure, FloatingPointError) as e:
                     row.update(m="", cond="", rmse="", status=f"error: {e}")

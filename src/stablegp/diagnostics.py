@@ -15,16 +15,17 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
 from .covertree import separation
-from .kernels import DecayEnvelope, decay_envelope, gram
+from .kernels import DecayEnvelope, decay_envelope
 from .linalg import (
     CG_DEFAULT_TOL,
     SpectrumSummary,
-    cg_multi,
     cholesky_stability_predicate,
     spectrum,
 )
+from .sgp import shifted_gram
 
 __all__ = [
     "StabilityReport",
@@ -179,10 +180,13 @@ def stability_report(model) -> StabilityReport:
 
     The a priori bounds use the kernel's decay envelope at the measured
     separation of the inducing set; the observed numbers come from the
-    spectrum of K_zz + Lambda.  The CG bound is for solving against the
-    model's inducing mean vector at the default tolerance.  The Cholesky
-    predicates are evaluated at matrix size max(M, 11) since the underlying
-    result assumes more than 10 rows; larger n only tightens the test.
+    spectrum of A = K_zz + Lambda.  The CG bound is for solving A v = u, the
+    inducing mean vector, at the default tolerance; its initial error
+    sqrt(u^T A^{-1} u) = ||L^{-1} u|| comes from the zero-jitter Cholesky
+    factor L = shifted_gram(model), which raises NumericalFailure if A does
+    not factor.  The Cholesky predicates are evaluated at matrix size
+    max(M, 11) since the underlying result assumes more than 10 rows; larger
+    n only tightens the test.
     """
     psi = decay_envelope(model.kernel)
     delta = separation(model.z)
@@ -190,16 +194,14 @@ def stability_report(model) -> StabilityReport:
     c_max = float(psi(0.0)) if math.isinf(delta) else lambda_max_bound(psi, delta, d)
     cond_bound = cond_bound_with_noise(c_max, model.lam)
 
-    A = gram(model.kernel, model.z)
-    A[np.diag_indices_from(A)] += model.lam
+    A, out = shifted_gram(model)
     observed = spectrum(A)
 
     u_norm = float(np.linalg.norm(model.u))
     if u_norm == 0.0 or not math.isfinite(observed.cond):
         cg_bound = 0.0 if u_norm == 0.0 else math.inf
     else:
-        v, _, _ = cg_multi(A, model.u, tag="kzz_plus_lambda")
-        e0 = math.sqrt(max(float(model.u @ v), 0.0))
+        e0 = float(np.linalg.norm(solve_triangular(out.factor, model.u, lower=True, check_finite=False)))
         eps_a = CG_DEFAULT_TOL * u_norm / math.sqrt(observed.lambda_max)
         cg_bound = cg_iteration_bound(observed.cond, e0, eps_a)
 

@@ -6,30 +6,33 @@ whose inducing values are cluster target means with per-cluster noise
 sigma^2 / N_cl.  The clustered posterior coincides with the exact
 posterior on the dataset whose inputs are snapped to their nearest
 inducing point, and every linear solve it performs is against
-K_zz + Lambda, never against K_zz alone.  The training loop optimizes
-kernel hyperparameters and the noise by stochastic first-order steps with
-analytic gradients; the trace terms of those gradients can be estimated
-with Hutchinson probes.
+K_zz + Lambda, never against K_zz alone.  Separation bounds the condition
+number of that matrix, so it is factored once per model or training step
+by a plain Cholesky with no jitter (shifted_gram), and every solve goes
+through that factor.  The training loop optimizes kernel hyperparameters
+and the noise by stochastic first-order steps with analytic gradients; the
+trace terms of those gradients can be estimated with Hutchinson probes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .covertree import InducingSet, cluster_assign
 from .kernels import Kernel, gram, gram_gradients
 from .linalg import (
     CholeskyOutcome,
     CholeskyStatus,
+    JitterPolicy,
     NumericalFailure,
     cho_solve,
     cholesky,
-    cg_multi,
     hutchinson_trace,
 )
 
@@ -50,12 +53,9 @@ __all__ = [
     "sample_prior",
 ]
 
-# Clustered-path CG: drive the recurrence near machine precision, then accept
-# the attainable true residual as long as it is far below the 1e-8 accuracy
-# the posterior promises; raise only above the acceptance threshold.
-_POSTERIOR_TOL = 1e-13
-_POSTERIOR_ACCEPT = 1e-9
-_CLUSTERED_TAG = "kzz_plus_lambda"
+# Largest true relative residual accepted from a solve against K_zz + Lambda,
+# well below the 1e-8 accuracy the posterior promises.
+_RESIDUAL_ACCEPT = 1e-9
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -202,8 +202,6 @@ def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> 
     solving against K_zz itself; that is exactly the step the clustered
     approximation avoids, and the reason this path carries a jitter policy.
     """
-    from scipy.linalg import solve_triangular
-
     Q = _as_matrix(query)
     Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
     k = model.kernel
@@ -247,36 +245,44 @@ def fit_clustered(
     return ClusteredModel(kernel, sigma2, Z, u, lam, counts)
 
 
-def _shifted_gram(model: ClusteredModel) -> np.ndarray:
-    A = gram(model.kernel, model.z)
+def shifted_gram(
+    model: ClusteredModel, K: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, CholeskyOutcome]:
+    """K_zz + Lambda and its lower Cholesky factor, taken with no jitter.
+
+    Lambda bounds the spectrum from below and separation bounds it from
+    above, so a plain double-precision factorization is safe; a matrix that
+    still fails to factor raises NumericalFailure instead of being jittered.
+    K, when given, is K_zz already evaluated by the caller; it is not modified.
+    """
+    A = gram(model.kernel, model.z) if K is None else K.copy()
     A[np.diag_indices_from(A)] += model.lam
-    return A
+    out = cholesky(A, JitterPolicy(initial=0.0), tag="kzz_plus_lambda")
+    if out.status is not CholeskyStatus.SUCCESS:
+        raise NumericalFailure("Cholesky factorization of K_zz + Lambda failed with no jitter")
+    return A, out
 
 
-def _solve_clustered(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve (K_zz + Lambda) X = B by CG, with an accuracy gate."""
-    n = A.shape[0]
-    X, _, res = cg_multi(A, B, tol=_POSTERIOR_TOL, max_iter=20 * n + 100, tag=_CLUSTERED_TAG)
-    B2 = B if B.ndim == 2 else B[:, None]
-    scale = np.linalg.norm(B2, axis=0)
-    rel = np.atleast_1d(res) / np.where(scale > 0.0, scale, 1.0)
-    if rel.max() > _POSTERIOR_ACCEPT:
-        raise NumericalFailure(
-            f"CG did not converge on K_zz + Lambda: worst relative residual {rel.max():.3e}"
-        )
+def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
+    """Solve (K_zz + Lambda) X = B through its factor, gated on the true relative residual."""
+    X = cho_solve(out, B)
+    scale = np.linalg.norm(B, axis=0)
+    rel = np.linalg.norm(B - A @ X, axis=0) / np.where(scale > 0.0, scale, 1.0)
+    if not np.all(rel <= _RESIDUAL_ACCEPT):
+        raise NumericalFailure(f"solve against K_zz + Lambda: worst relative residual {np.max(rel):.3e}")
     return X
 
 
 def clustered_posterior(model: ClusteredModel, query) -> GaussianBelief:
     """Posterior of the clustered-data approximation at the query points.
 
-    All solves are against K_zz + Lambda with no jitter: Lambda alone lower
-    bounds the spectrum, so conjugate gradients is safe here by construction.
+    All solves go through one zero-jitter Cholesky factor of K_zz + Lambda
+    (shifted_gram), never through K_zz alone.
     """
     Q = _as_matrix(query)
-    A = _shifted_gram(model)
+    A, out = shifted_gram(model)
     K_zq = gram(model.kernel, model.z, Q)
-    sol = _solve_clustered(A, np.column_stack([model.u, K_zq]))
+    sol = _solve(A, out, np.column_stack([model.u, K_zq]))
     v, S = sol[:, 0], sol[:, 1:]
     mean = K_zq.T @ v
     cov = gram(model.kernel, Q) - K_zq.T @ S
@@ -292,18 +298,17 @@ def kl_to_prior(model: ClusteredModel, trace_mode: str = "exact", probes: int = 
     that is estimated under trace_mode="hutchinson".
     """
     K = gram(model.kernel, model.z)
-    A = K + np.diag(model.lam)
-    out = _require_success(cholesky(A, tag=_CLUSTERED_TAG), "K_zz + Lambda")
+    A, out = shifted_gram(model, K)
     logdet_A = 2.0 * float(np.sum(np.log(np.diag(out.factor))))
     logdet_lam = float(np.sum(np.log(model.lam)))
-    v = cho_solve(out, model.u)
+    v = _solve(A, out, model.u)
     quad = float(v @ (K @ v))
     if trace_mode == "exact":
-        tr = float(np.trace(cho_solve(out, K)))
+        tr = float(np.trace(_solve(A, out, K)))
     elif trace_mode == "hutchinson":
         if probes < 1:
             raise ValueError("probes must be >= 1")
-        est = hutchinson_trace(lambda w: cho_solve(out, K @ w), model.m, probes, seed)
+        est = hutchinson_trace(lambda w: _solve(A, out, K @ w), model.m, probes, seed)
         tr = est["estimate"]
     else:
         raise ValueError(f"unknown trace_mode {trace_mode!r}")
@@ -323,9 +328,9 @@ def _objective_and_grads(
 
     Returns (value, grads) with grads a dict holding d/dvariance,
     d/dlengthscales (vector), d/dsigma2; grads is None when want_grads is
-    false.  probes=None computes the KL trace terms exactly through the
-    Cholesky factor; an integer estimates them with that many Hutchinson
-    probes and routes all solves through CG.
+    false.  Every solve goes through the zero-jitter Cholesky factor of
+    K_zz + Lambda.  probes=None computes the KL trace terms exactly; an
+    integer estimates them with that many Hutchinson probes.
 
     In the gradient of the KL term the 0.5 tr(A^{-1} dK) contributions of the
     log-determinant and the trace term cancel exactly, so only
@@ -339,23 +344,21 @@ def _objective_and_grads(
     scale = n_total / b
 
     K, dK_dv, dK_dls = gram_gradients(k, z)
-    A = K + np.diag(lam)
+    A, out = shifted_gram(model, K)
     kb, dkb_dv, dkb_dls = gram_gradients(k, z, Xb)
     lam_dot = lam / sigma2  # dLambda/dsigma2, entrywise
-
-    out = _require_success(cholesky(A, tag=_CLUSTERED_TAG), "K_zz + Lambda")
     logdet_A = 2.0 * float(np.sum(np.log(np.diag(out.factor))))
 
     if probes is None:
-        v = cho_solve(out, u)
-        W = cho_solve(out, kb)
-        tr_AinvK = float(np.trace(cho_solve(out, K)))
+        sol = _solve(A, out, np.column_stack([u, kb, K]))
+        v, W, AinvK = sol[:, 0], sol[:, 1 : 1 + b], sol[:, 1 + b :]
+        tr_AinvK = float(np.trace(AinvK))
         if want_grads:
-            Ainv = cho_solve(out, np.eye(m))
-            AinvK = cho_solve(out, K)
-            G = cho_solve(out, AinvK.T)  # A^{-1} K A^{-1}
+            G = _solve(A, out, AinvK.T)  # A^{-1} K A^{-1}
+            # diag(A^{-1}) = squared column sums of L^{-1}, since A^{-1} = L^{-T} L^{-1}
+            Linv = solve_triangular(out.factor, np.eye(m), lower=True, check_finite=False)
             tr_quad = lambda dK: float(np.sum(dK * G))  # tr(A^{-1} dK A^{-1} K)
-            tr_lam = float(lam_dot @ np.diag(Ainv))  # tr(A^{-1} dLambda)
+            tr_lam = float(lam_dot @ np.einsum("ij,ij->j", Linv, Linv))  # tr(A^{-1} dLambda)
             tr_lam_K = float(lam_dot @ np.diag(G))  # tr(A^{-1} dLambda A^{-1} K)
     else:
         if probes < 1:
@@ -363,7 +366,7 @@ def _objective_and_grads(
         rng = np.random.default_rng(seed)
         V = rng.integers(0, 2, size=(m, probes)).astype(float) * 2.0 - 1.0
         rhs = np.column_stack([u, kb, V, K @ V])
-        sol = _solve_clustered(A, rhs)
+        sol = _solve(A, out, rhs)
         v = sol[:, 0]
         W = sol[:, 1 : 1 + b]
         T = sol[:, 1 + b : 1 + b + probes]  # A^{-1} V
@@ -386,7 +389,7 @@ def _objective_and_grads(
     if not want_grads:
         return value, None
 
-    t2 = cho_solve(out, Kv) if probes is None else _solve_clustered(A, Kv)
+    t2 = _solve(A, out, Kv)
 
     def kernel_grad(dK: np.ndarray, dkb: np.ndarray, dkvar: float) -> float:
         dKv = dK @ v

@@ -238,8 +238,8 @@ def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
     assert main([]) == EXIT_USAGE
     assert main(["select", str(small_csv), "--method", "nope", "--out", "x"]) == EXIT_USAGE
 
-    # duplicated inducing rows with a vanishing diagonal shift cannot satisfy
-    # the solver's residual acceptance gate
+    # duplicated inducing rows with a vanishing diagonal shift make K_zz + Lambda
+    # singular in double precision, so its zero-jitter Cholesky factor fails
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0, 1.0]))
     broken = {
         "kernel": kernel.to_json(),

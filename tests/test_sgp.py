@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from stablegp import (
     ExactGP,
     Family,
     Kernel,
+    NumericalFailure,
     TrainConfig,
     build,
     cluster_assign,
@@ -25,6 +27,7 @@ from stablegp import (
     train,
     training_objective,
 )
+from stablegp.cli import EXIT_NUMERICAL, main
 from stablegp.linalg import SOLVE_LOG, reset_solve_log
 
 
@@ -259,6 +262,28 @@ def test_no_solver_touches_unshifted_inducing_gram():
     train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
     assert len(SOLVE_LOG) > 0
     assert all(entry["tag"] == "kzz_plus_lambda" for entry in SOLVE_LOG)
+
+
+def test_singular_shifted_gram_raises_instead_of_jittering(tmp_path):
+    # Two coincident inducing points and a Lambda far below the rounding of
+    # K_zz's unit diagonal: K_zz + Lambda is singular in double precision, so
+    # every clustered solve must fail loudly rather than factor a jittered copy.
+    kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0, 1.0]))
+    z = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    model = ClusteredModel(kernel, 1.0, z, np.array([1.0, -1.0, 0.5]), np.full(3, 1e-300), np.ones(3, dtype=int))
+    batch = Dataset(np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([0.3, -0.2]))
+    with pytest.raises(NumericalFailure):
+        kl_to_prior(model)
+    with pytest.raises(NumericalFailure):
+        training_objective(model, batch, batch.n)
+    with pytest.raises(NumericalFailure):
+        clustered_posterior(model, batch.X)
+
+    model_path = tmp_path / "singular.json"
+    model_path.write_text(json.dumps(model.to_json()))
+    query = tmp_path / "q.csv"
+    query.write_text("x1,x2\n0.5,0.5\n")
+    assert main(["predict", str(model_path), str(query), "--out", str(tmp_path / "p.csv")]) == EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,53 @@
+"""The benchmark tracer's contract with the package.
+
+perfbench/tracer.py wraps the functions named in its LAYER_CALLS table by
+looking each one up by name when a traced run starts, and its counters read
+some of their arguments by name.  Renaming or deleting one of those
+functions, or one of those arguments, would make every traced benchmark run
+crash; these tests catch that in the ordinary test suite.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# argument names the tracer's counters read from a call's bound arguments
+COUNTED_ARGUMENTS = {
+    ("stablegp.linalg", "cg_multi"): {"B"},
+    ("stablegp.linalg", "cho_solve"): {"B"},
+    ("stablegp.kernels", "gram"): {"A", "B"},
+    ("stablegp.kernels", "gram_gradients"): {"A", "B"},
+    ("stablegp.cli", "write_table"): {"rows"},
+}
+
+
+def _layer_calls():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses resolve the module by name
+    spec.loader.exec_module(tracer)
+    return tracer.LAYER_CALLS
+
+
+LAYER_CALLS = _layer_calls()
+
+
+@pytest.mark.parametrize("call", LAYER_CALLS, ids=lambda c: f"{c.module}.{c.function}")
+def test_traced_function_resolves(call):
+    fn = getattr(importlib.import_module(call.module), call.function, None)
+    assert callable(fn), f"{call.module}.{call.function} is traced by the benchmark but does not exist"
+
+
+@pytest.mark.parametrize("key", sorted(COUNTED_ARGUMENTS), ids=lambda k: f"{k[0]}.{k[1]}")
+def test_counted_arguments_are_in_the_signature(key):
+    assert key in {(c.module, c.function) for c in LAYER_CALLS}
+    module, function = key
+    params = inspect.signature(getattr(importlib.import_module(module), function)).parameters
+    missing = COUNTED_ARGUMENTS[key] - set(params)
+    assert not missing, f"{module}.{function} lost the argument(s) {sorted(missing)} the tracer counts"
