@@ -283,7 +283,7 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
                     model = fit_clustered(train_set, z, kernel, sigma2)
                     if steps > 0:
                         model = train(model, train_set, TrainConfig(steps=steps, seed=seed)).model
-                    belief = clustered_posterior(model, test_set.X)
+                    belief = clustered_posterior(model, test_set.X, full_cov=False)
                     rmse = float(np.sqrt(np.mean((belief.mean - test_set.y) ** 2)))
                     cond = spectrum(shifted_gram(model)[0]).cond
                     row.update(m=model.m, cond=cond, rmse=rmse, status="ok")
@@ -394,14 +394,14 @@ def cmd_predict(args) -> int:
     Xq, yq, has_y = _load_csv_columns(args.query, require_targets=False)
     if Xq.shape[1] != model.z.shape[1]:
         raise UsageError(f"query dimension {Xq.shape[1]} does not match model dimension {model.z.shape[1]}")
-    belief = clustered_posterior(model, Xq)
-    stddev = np.sqrt(np.clip(np.diag(belief.cov), 0.0, None))
+    belief = clustered_posterior(model, Xq, full_cov=False)
+    stddev = np.sqrt(np.clip(belief.var, 0.0, None))
     config_dict = {"model": args.model, "query": args.query, "seed": 0}
     rows = [{"mean": repr(float(m)), "stddev": repr(float(s))} for m, s in zip(belief.mean, stddev)]
     write_table(args.out, "predict", config_dict, ["mean", "stddev"], rows)
     if has_y:
         rmse = float(np.sqrt(np.mean((belief.mean - yq) ** 2)))
-        var_y = np.diag(belief.cov) + model.noise_sigma2
+        var_y = belief.var + model.noise_sigma2
         nlpd = float(np.mean(0.5 * np.log(2.0 * math.pi * var_y) + (yq - belief.mean) ** 2 / (2.0 * var_y)))
         print(f"rmse={rmse!r} nlpd={nlpd!r}")
     print(f"wrote {args.out}: {len(rows)} predictions")

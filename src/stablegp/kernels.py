@@ -130,10 +130,6 @@ class DecayEnvelope:
             out = np.where(np.isinf(m), 0.0, out)
         return out
 
-    # alias so report code can spell the field name from the type contract
-    def psi(self, m) -> np.ndarray:
-        return self(m)
-
 
 def decay_envelope(k: Kernel) -> DecayEnvelope:
     return DecayEnvelope(k.family, float(k.variance), float(np.max(k.lengthscales)))

@@ -5,8 +5,9 @@ with iteration accounting, spectrum/condition estimation, Hutchinson trace
 estimation, and the closed-form 2-Wasserstein distance between Gaussians.
 
 Every factorization and solve performed through this module is appended to
-SOLVE_LOG (kind, tag, n), which is how the no-bare-K_zz discipline of the
-sparse GP fitting path is asserted in tests.
+SOLVE_LOG (kind, tag, n and, for cho_solve and cg_multi, the number of
+right-hand sides), which is how the no-bare-K_zz discipline of the sparse GP
+fitting path is asserted in tests.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class NumericalFailure(RuntimeError):
     """A linear solve or factorization failed beyond recovery."""
 
 # Global append-only record of solves/factorizations: dicts with keys
-# kind ("cholesky" | "cg"), tag (caller-supplied label), n (system size).
+# kind ("cholesky" | "cho_solve" | "cg"), tag (caller-supplied label, which a
+# cho_solve inherits from its factorization), n (system size) and, for
+# cho_solve and cg_multi, rhs (number of right-hand sides).
 SOLVE_LOG: list[dict] = []
 
 
@@ -64,6 +67,7 @@ class CholeskyOutcome:
     status: CholeskyStatus
     factor: Optional[np.ndarray]  # lower triangular on success
     jitter_used: float
+    tag: str = ""  # the label given to cholesky(), carried into cho_solve's log entries
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def cholesky(A: np.ndarray, jitter_policy: Optional[JitterPolicy] = None, tag: s
     while True:
         try:
             L = np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(A.shape[0]))
-            return CholeskyOutcome(CholeskyStatus.SUCCESS, L, jitter)
+            return CholeskyOutcome(CholeskyStatus.SUCCESS, L, jitter, tag)
         except np.linalg.LinAlgError:
             pass
         if jitter == 0.0:
@@ -135,13 +139,15 @@ def cholesky(A: np.ndarray, jitter_policy: Optional[JitterPolicy] = None, tag: s
         else:
             jitter *= jitter_policy.factor
         if jitter > jitter_policy.max or jitter <= 0.0 or not math.isfinite(jitter):
-            return CholeskyOutcome(CholeskyStatus.FAILURE, None, 0.0)
+            return CholeskyOutcome(CholeskyStatus.FAILURE, None, 0.0, tag)
 
 
 def cho_solve(outcome: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = B given a successful factorization."""
     if outcome.status is not CholeskyStatus.SUCCESS:
         raise ValueError("cannot solve with a failed Cholesky factorization")
+    rhs = 1 if np.ndim(B) == 1 else np.shape(B)[1]
+    SOLVE_LOG.append({"kind": "cho_solve", "tag": outcome.tag, "n": outcome.factor.shape[0], "rhs": rhs})
     return sla.cho_solve((outcome.factor, True), B, check_finite=False)
 
 

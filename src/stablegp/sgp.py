@@ -57,6 +57,10 @@ __all__ = [
 # well below the 1e-8 accuracy the posterior promises.
 _RESIDUAL_ACCEPT = 1e-9
 
+# Most query points a diagonal-only clustered posterior handles at once: its
+# working memory is O(M * _QUERY_BLOCK) whatever the number of queries.
+_QUERY_BLOCK = 2048
+
 
 def _as_matrix(X) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
@@ -164,8 +168,16 @@ class ClusteredModel:
 
 @dataclass(frozen=True)
 class GaussianBelief:
+    """Posterior mean and marginal variances at the query points.
+
+    var is the diagonal of the covariance and is always present; cov is the
+    full Q x Q covariance, or None when only the diagonal was computed
+    (clustered_posterior with full_cov=False).
+    """
+
     mean: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
+    cov: Optional[np.ndarray]
     query_points: np.ndarray
     jitter_used: float = 0.0
 
@@ -182,7 +194,7 @@ def exact_posterior(model: ExactGP, query) -> GaussianBelief:
     k = model.kernel
     K_qq = gram(k, Q)
     if model.X.shape[0] == 0:
-        return GaussianBelief(np.zeros(Q.shape[0]), K_qq, Q)
+        return GaussianBelief(np.zeros(Q.shape[0]), np.diag(K_qq).copy(), K_qq, Q)
     A = gram(k, model.X)
     A[np.diag_indices_from(A)] += model.noise_sigma2
     out = _require_success(cholesky(A, tag="kxx_plus_noise"), "K_xx + sigma^2 I")
@@ -192,7 +204,7 @@ def exact_posterior(model: ExactGP, query) -> GaussianBelief:
     mean = K_xq.T @ alpha
     cov = K_qq - K_xq.T @ S
     cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, cov, Q, jitter_used=out.jitter_used)
+    return GaussianBelief(mean, np.diag(cov).copy(), cov, Q, jitter_used=out.jitter_used)
 
 
 def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> GaussianBelief:
@@ -218,7 +230,7 @@ def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> 
     K_qq = gram(k, Q)
     cov = K_qq - C.T @ C + C.T @ cho_solve(out_b, C)
     cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, cov, Q, jitter_used=out.jitter_used)
+    return GaussianBelief(mean, np.diag(cov).copy(), cov, Q, jitter_used=out.jitter_used)
 
 
 def fit_clustered(
@@ -273,21 +285,37 @@ def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def clustered_posterior(model: ClusteredModel, query) -> GaussianBelief:
+def clustered_posterior(model: ClusteredModel, query, full_cov: bool = True) -> GaussianBelief:
     """Posterior of the clustered-data approximation at the query points.
 
     All solves go through one zero-jitter Cholesky factor of K_zz + Lambda
-    (shifted_gram), never through K_zz alone.
+    (shifted_gram), never through K_zz alone.  With full_cov=True the belief
+    carries the dense Q x Q covariance.  With full_cov=False it carries only
+    the marginal variances, computed in blocks of at most _QUERY_BLOCK query
+    points as k(x, x) - colsum(K_zq * (K_zz + Lambda)^{-1} K_zq), so memory is
+    O(M * _QUERY_BLOCK) whatever the number of queries; cov is then None.
     """
     Q = _as_matrix(query)
     A, out = shifted_gram(model)
-    K_zq = gram(model.kernel, model.z, Q)
-    sol = _solve(A, out, np.column_stack([model.u, K_zq]))
-    v, S = sol[:, 0], sol[:, 1:]
-    mean = K_zq.T @ v
-    cov = gram(model.kernel, Q) - K_zq.T @ S
-    cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, cov, Q)
+    if full_cov:
+        K_zq = gram(model.kernel, model.z, Q)
+        sol = _solve(A, out, np.column_stack([model.u, K_zq]))
+        v, S = sol[:, 0], sol[:, 1:]
+        mean = K_zq.T @ v
+        cov = gram(model.kernel, Q) - K_zq.T @ S
+        cov = (cov + cov.T) / 2.0
+        return GaussianBelief(mean, np.diag(cov).copy(), cov, Q)
+    v = _solve(A, out, model.u)
+    mean = np.empty(Q.shape[0])
+    var = np.empty(Q.shape[0])
+    for start in range(0, Q.shape[0], _QUERY_BLOCK):
+        block = slice(start, start + _QUERY_BLOCK)
+        K_zq = gram(model.kernel, model.z, Q[block])
+        S = _solve(A, out, K_zq)
+        mean[block] = K_zq.T @ v
+        # k(x, x) = variance for every family, since each profile is 1 at 0
+        var[block] = model.kernel.variance - np.einsum("mq,mq->q", K_zq, S)
+    return GaussianBelief(mean, var, None, Q)
 
 
 def kl_to_prior(model: ClusteredModel, trace_mode: str = "exact", probes: int = 100, seed: int = 0) -> float:

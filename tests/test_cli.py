@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from stablegp import (
     Dataset,
     Family,
     Kernel,
+    build,
     clustered_posterior,
     cond_bound_with_noise,
     decay_envelope,
     fit_clustered,
     gram,
+    inducing_points,
     lambda_max_bound,
     separation,
     spatial_resolution,
@@ -232,6 +235,31 @@ def test_predict_rmse_matches_recomputation(tmp_path, small_csv, kernel_json, ca
     data = load_csv(str(small_csv))
     recomputed = math.sqrt(float(np.mean((means - data.y) ** 2)))
     assert reported == pytest.approx(recomputed, rel=1e-9)
+
+
+def test_predict_memory_does_not_grow_with_query_count_squared(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-5.0, 5.0, size=(2000, 2))
+    data = Dataset(X, np.sin(X[:, 0]) * np.cos(X[:, 1]) + 0.1 * rng.standard_normal(2000))
+    kernel = Kernel(Family.MATERN32, 1.0, np.array([1.0, 1.0]))
+    model = fit_clustered(data, inducing_points(build(X, epsilon=0.6)), kernel, 0.1)
+    assert 120 <= model.m <= 200
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_json()))
+    n_queries = 5000
+    query = tmp_path / "query.csv"
+    write_csv_dataset(str(query), Dataset(rng.uniform(-5.0, 5.0, size=(n_queries, 2)), np.zeros(n_queries)))
+    pred_path = tmp_path / "pred.csv"
+    tracemalloc.start()
+    try:
+        assert main(["predict", str(model_path), str(query), "--out", str(pred_path)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a quarter of one dense Q x Q float64 covariance (47.7 MiB at 5000 queries)
+    assert peak < n_queries**2 * 8 / 4
+    _, rows = read_table(str(pred_path))
+    assert len(rows) == n_queries
 
 
 def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):

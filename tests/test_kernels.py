@@ -185,4 +185,6 @@ def test_envelope_type_is_reusable_value():
     env = decay_envelope(Kernel(Family.MATERN52, 2.0, np.array([1.0])))
     assert isinstance(env, DecayEnvelope)
     m = np.array([0.0, 1.0, 2.0])
-    assert np.array_equal(env.psi(m), env(m))
+    values = env(m)
+    assert values[0] == 2.0
+    assert np.all(np.diff(values) < 0.0)

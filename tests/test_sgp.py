@@ -27,6 +27,7 @@ from stablegp import (
     train,
     training_objective,
 )
+from stablegp import sgp
 from stablegp.cli import EXIT_NUMERICAL, main
 from stablegp.linalg import SOLVE_LOG, reset_solve_log
 
@@ -208,6 +209,44 @@ def test_clustered_equals_exact_on_snapped_inputs():
         assert np.max(np.abs(belief.cov - cov)) <= 1e-8
 
 
+FAMILIES = [Family.SQUARED_EXPONENTIAL, Family.MATERN12, Family.MATERN32, Family.MATERN52]
+
+
+def criterion_2_instance(trial):
+    """The model and 8 queries of acceptance criterion 2's trial number `trial`."""
+    rng = np.random.default_rng(1000 + trial)
+    n = int(rng.integers(20, 201))
+    d = int(rng.integers(1, 4))
+    kernel = Kernel(FAMILIES[trial % 4], float(rng.uniform(0.5, 2.0)), rng.uniform(0.4, 1.5, size=d))
+    X = rng.uniform(-4.0, 4.0, size=(n, d))
+    y = rng.normal(size=n)
+    sigma2 = float(rng.uniform(0.25, 1.0))
+    tree = build(X, epsilon=float(rng.uniform(0.4, 1.5)), seed=trial)
+    model = fit_clustered(Dataset(X, y), inducing_points(tree), kernel, sigma2)
+    return model, rng.uniform(-4.0, 4.0, size=(8, d))
+
+
+def assert_diagonal_matches_full(model, Q):
+    full = clustered_posterior(model, Q)
+    diag = clustered_posterior(model, Q, full_cov=False)
+    assert diag.cov is None
+    assert np.array_equal(full.var, np.diag(full.cov))
+    assert np.max(np.abs(diag.mean - full.mean)) <= 1e-12
+    assert np.max(np.abs(diag.var - np.diag(full.cov))) <= 1e-12
+
+
+def test_diagonal_posterior_matches_full_on_criterion_2_instances():
+    for trial in range(100):
+        assert_diagonal_matches_full(*criterion_2_instance(trial))
+
+
+def test_diagonal_posterior_blocks_match_full(monkeypatch):
+    monkeypatch.setattr(sgp, "_QUERY_BLOCK", 7)
+    model, _ = criterion_2_instance(3)
+    Q = np.random.default_rng(31).uniform(-4.0, 4.0, size=(52, model.z.shape[1]))  # 7 full blocks and 3 left over
+    assert_diagonal_matches_full(model, Q)
+
+
 def test_clustered_all_data_inducing_equals_exact():
     kernel, _, X, y, rng = random_problem(20, 60, 1)
     sigma2 = 0.3
@@ -255,12 +294,15 @@ def test_no_solver_touches_unshifted_inducing_gram():
     tree = build(X, epsilon=0.7)
     reset_solve_log()
     model = fit_clustered(data, inducing_points(tree), kernel, 0.4)
-    clustered_posterior(model, rng.uniform(-3.0, 3.0, size=(5, 2)))
+    Q = rng.uniform(-3.0, 3.0, size=(5, 2))
+    clustered_posterior(model, Q)
+    clustered_posterior(model, Q, full_cov=False)
     kl_to_prior(model, trace_mode="exact")
     kl_to_prior(model, trace_mode="hutchinson", probes=16, seed=0)
     training_objective(model, data, data.n)
     train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
     assert len(SOLVE_LOG) > 0
+    assert any(entry["kind"] == "cho_solve" for entry in SOLVE_LOG)
     assert all(entry["tag"] == "kzz_plus_lambda" for entry in SOLVE_LOG)
 
 

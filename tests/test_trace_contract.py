@@ -3,8 +3,9 @@
 perfbench/tracer.py wraps the functions named in its LAYER_CALLS table by
 looking each one up by name when a traced run starts, and its counters read
 some of their arguments by name.  Renaming or deleting one of those
-functions, or one of those arguments, would make every traced benchmark run
-crash; these tests catch that in the ordinary test suite.
+functions, or one of those arguments, or changing the shape of a result a
+counter reads, would make every traced benchmark run crash; these tests catch
+that in the ordinary test suite.
 """
 
 import importlib
@@ -13,7 +14,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from stablegp import ClusteredModel, Family, Kernel, clustered_posterior
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -51,3 +55,16 @@ def test_counted_arguments_are_in_the_signature(key):
     params = inspect.signature(getattr(importlib.import_module(module), function)).parameters
     missing = COUNTED_ARGUMENTS[key] - set(params)
     assert not missing, f"{module}.{function} lost the argument(s) {sorted(missing)} the tracer counts"
+
+
+@pytest.mark.parametrize("full_cov", [True, False])
+def test_posterior_counter_reads_both_return_shapes(full_cov):
+    (call,) = [c for c in LAYER_CALLS if (c.module, c.function) == ("stablegp.sgp", "clustered_posterior")]
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-2.0, 2.0, size=(6, 2))
+    kernel = Kernel(Family.MATERN32, 1.0, np.ones(2))
+    model = ClusteredModel(kernel, 0.2, z, rng.normal(size=6), np.full(6, 0.05), np.full(6, 4))
+    Q = rng.uniform(-2.0, 2.0, size=(11, 2))
+    belief = clustered_posterior(model, Q, full_cov=full_cov)
+    counts = call.counter({"model": model, "query": Q, "full_cov": full_cov}, belief)
+    assert counts == {"queries": len(Q)}
