@@ -12,7 +12,14 @@ linear in N.
 Every distance taken during construction and by the metric helpers below
 goes through _cross_distances.  The separation/resolution guarantees are
 asserted with no tolerance, so the builder and the checkers must see
-bit-identical floating point values.
+bit-identical floating point values.  _cross_distances accumulates squared
+coordinate differences into one (n, m) array, coordinate by coordinate, so
+the value it gives a pair does not depend on the shapes of the call; for
+d <= 2 it is also bit-identical to reducing an (n, m, d) difference tensor
+with einsum.  Each new node claims its points with one distance call over
+the concatenated pools of its parent's neighbors.  Previous-level nodes that
+the triangle inequality puts out of reach are skipped in that claim and in
+the Voronoi pass; skipping them never changes the outcome of a comparison.
 """
 
 from __future__ import annotations
@@ -38,25 +45,39 @@ __all__ = [
 ]
 
 # Row block for pairwise-distance scans; bounds peak memory, not results.
-_BLOCK = 512
+_BLOCK = 256
+
+# Relative slack on triangle-inequality pruning in build.  It dwarfs the
+# rounding error of any computed distance, so a point or node is only ever
+# skipped when its own computed distance could not have passed the test.
+_PRUNE_SLACK = 1e-9
 
 
 def _as_points(X) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("points must form a nonempty (n, d) array")
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
+        raise ValueError("points must form a nonempty (n, d) array with d >= 1")
     return X
 
 
 def _cross_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows of A and rows of B.
+    """Euclidean distances between rows of A and rows of B, as an (n, m) array.
 
     The single distance code path of this module: per-pair arithmetic must
     not depend on array shapes, otherwise the exact comparisons made during
-    construction could disagree with the metric helpers.
+    construction could disagree with the metric helpers.  Squared coordinate
+    differences are accumulated straight into one (n, m) array, coordinate 0
+    first, so every entry is the same left-to-right sum whatever n and m are.
+    For d <= 2 that sum is bit-identical to reducing an (n, m, d) difference
+    tensor with einsum; for d >= 3 the last ulp may differ from it.
     """
-    diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    acc = A[:, 0, None] - B[None, :, 0]
+    acc *= acc
+    for k in range(1, A.shape[1]):
+        diff = A[:, k, None] - B[None, :, k]
+        diff *= diff
+        acc += diff
+    return np.sqrt(acc, out=acc)
 
 
 @dataclass
@@ -196,10 +217,18 @@ def build(
     for ell in range(1, L + 1):
         R = radii[ell]
         prev = levels[ell - 1]
-        pools = [node.assigned.copy() for node in prev]
+        pools = [node.assigned for node in prev]
+        prev_locs = np.vstack([node.location for node in prev])
+        # Triangle-inequality pruning: every point assigned to a node of the
+        # previous level lies within R_(ell-1) = 2R of it.  A previous-level
+        # node farther than 3R from a new node therefore holds no point within
+        # R of it: none of its points can be claimed by the new node, and none
+        # has the new node as its nearest (each point has a node within R).
+        reach = 3.0 * R * (1.0 + _PRUNE_SLACK)
         children_of: list[list[int]] = [[] for _ in prev]
         new_nodes: list[CoverTreeNode] = []
-        new_locs: list[np.ndarray] = []
+        # Every node claims at least its seed point, so a level has at most n.
+        locs = np.empty((n, dim))
 
         for p, parent in enumerate(prev):
             while pools[p].size > 0:
@@ -207,12 +236,12 @@ def build(
                 zeta_idx = int(pool[np.argmin(rank[pool])])
                 zeta = X[zeta_idx]
                 if lloyd_averaging:
-                    near = _cross_distances(X[pool], zeta[None, :])[:, 0] <= R
-                    zeta_avg = X[pool[near]].mean(axis=0)
+                    near = _cross_distances(X.take(pool, axis=0), zeta[None, :])[:, 0] <= R
+                    zeta_avg = X.take(pool[near], axis=0).mean(axis=0)
                     cand_ids = [c for r in parent.r_neighbors for c in children_of[r]]
                     ok_separated = True
                     if cand_ids:
-                        cand_locs = np.vstack([new_locs[c] for c in cand_ids])
+                        cand_locs = locs.take(cand_ids, axis=0)
                         ok_separated = bool(
                             _cross_distances(zeta_avg[None, :], cand_locs)[0].min() > R
                         )
@@ -223,51 +252,56 @@ def build(
                     if ok_separated and covers_seed:
                         zeta = zeta_avg
                 node_loc = np.array(zeta, dtype=float)
-                claimed = []
-                for r in parent.r_neighbors:
-                    rpool = pools[r]
-                    if rpool.size == 0:
-                        continue
-                    within = _cross_distances(X[rpool], node_loc[None, :])[:, 0] <= R
-                    if within.any():
-                        claimed.append(rpool[within])
-                        pools[r] = rpool[~within]
+                # One distance call over the concatenated pools of the parent's
+                # R-neighbors within reach; the result is split back into the pools.
+                nbrs = np.array([r for r in parent.r_neighbors if pools[r].size])
+                nbrs = nbrs[_cross_distances(prev_locs.take(nbrs, axis=0), node_loc[None, :])[:, 0] <= reach]
+                cat = np.concatenate([pools[r] for r in nbrs])
+                within = _cross_distances(X.take(cat, axis=0), node_loc[None, :])[:, 0] <= R
+                start = 0
+                for r in nbrs:
+                    stop = start + pools[r].size
+                    kept = ~within[start:stop]
+                    if not kept.all():
+                        pools[r] = pools[r][kept]
+                    start = stop
                 c = len(new_nodes)
-                assigned = np.sort(np.concatenate(claimed)) if claimed else np.empty(0, dtype=int)
+                assigned = np.sort(cat[within])
                 new_nodes.append(CoverTreeNode(location=node_loc, level=ell, parent=p, assigned=assigned))
-                new_locs.append(node_loc)
+                locs[c] = node_loc
                 children_of[p].append(c)
                 parent.children.append(c)
 
-        locs = np.vstack(new_locs)
+        locs = locs[: len(new_nodes)]
         # R-neighbors: only children of the parent's R-neighbors can be close
         # enough; within that candidate set, keep those inside the radius.
-        cand_cache: dict[int, list[int]] = {}
+        # Siblings share the candidate set, so each parent takes one call.
+        cand_cache: dict[int, np.ndarray] = {}
         for p, parent in enumerate(prev):
-            cand_cache[p] = sorted(c for r in parent.r_neighbors for c in children_of[r])
-        nbr_R = neighbor_radii[ell]
-        for c, node in enumerate(new_nodes):
-            cand = cand_cache[node.parent]
-            d = _cross_distances(node.location[None, :], locs[cand])[0]
-            node.r_neighbors = [cand[i] for i in np.flatnonzero(d <= nbr_R)]
+            cand = np.array(sorted(c for r in parent.r_neighbors for c in children_of[r]), dtype=int)
+            cand_cache[p] = cand
+            if children_of[p]:
+                d = _cross_distances(locs.take(children_of[p], axis=0), locs.take(cand, axis=0))
+                for c, row in zip(children_of[p], d <= neighbor_radii[ell]):
+                    new_nodes[c].r_neighbors = cand[row].tolist()
 
         if voronoi_repartition:
-            regained: list[list[np.ndarray]] = [[] for _ in new_nodes]
+            label = np.empty(n, dtype=int)
             for r, prev_node in enumerate(prev):
                 orig = prev_node.assigned
                 if orig.size == 0:
                     continue
                 cand = cand_cache[r]
-                d = _cross_distances(X[orig], locs[cand])
-                nearest = np.argmin(d, axis=1)  # ties resolve to the lowest node index
-                for j, c in enumerate(cand):
-                    mask = nearest == j
-                    if mask.any():
-                        regained[c].append(orig[mask])
-            for c, node in enumerate(new_nodes):
-                node.assigned = (
-                    np.sort(np.concatenate(regained[c])) if regained[c] else np.empty(0, dtype=int)
-                )
+                cand = cand[_cross_distances(locs.take(cand, axis=0), prev_locs[r : r + 1])[:, 0] <= reach]
+                d = _cross_distances(X.take(orig, axis=0), locs.take(cand, axis=0))
+                # cand is sorted, so ties resolve to the lowest node index
+                label[orig] = cand[np.argmin(d, axis=1)]
+            # The previous level's assigned sets partition the data, so every
+            # label is set; a stable sort groups the points by node in index order.
+            order = np.argsort(label, kind="stable")
+            bounds = np.cumsum(np.bincount(label, minlength=len(new_nodes)))[:-1]
+            for node, assigned in zip(new_nodes, np.split(order, bounds)):
+                node.assigned = assigned
 
         levels.append(new_nodes)
 
@@ -332,27 +366,32 @@ def separation(points: Union[InducingSet, np.ndarray]) -> float:
     return best
 
 
-def spatial_resolution(data, points: Union[InducingSet, np.ndarray]) -> float:
-    """Maximum over the data of the distance to the nearest given point."""
-    X = _as_points(data)
-    P = _points_of(points)
-    worst = 0.0
+def _nearest(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of and distance to the nearest row of P for every row of X.
+
+    One blocked scan serves spatial_resolution and cluster_assign; ties pick
+    the lowest index.
+    """
+    labels = np.empty(X.shape[0], dtype=int)
+    dists = np.empty(X.shape[0])
     for i0 in range(0, X.shape[0], _BLOCK):
         d = _cross_distances(X[i0 : i0 + _BLOCK], P)
-        worst = max(worst, float(d.min(axis=1).max()))
-    return worst
+        rows = slice(i0, i0 + d.shape[0])
+        labels[rows] = np.argmin(d, axis=1)
+        dists[rows] = np.take_along_axis(d, labels[rows, None], axis=1)[:, 0]
+    return labels, dists
+
+
+def spatial_resolution(data, points: Union[InducingSet, np.ndarray]) -> float:
+    """Maximum over the data of the distance to the nearest given point."""
+    return float(_nearest(_as_points(data), _points_of(points))[1].max())
 
 
 def cluster_assign(data, z: Union[InducingSet, np.ndarray]) -> ClusterAssignment:
     """Nearest-inducing-point labels and cluster sizes; ties pick the lowest index."""
-    X = _as_points(data)
     P = _points_of(z)
-    labels = np.empty(X.shape[0], dtype=int)
-    for i0 in range(0, X.shape[0], _BLOCK):
-        d = _cross_distances(X[i0 : i0 + _BLOCK], P)
-        labels[i0 : i0 + d.shape[0]] = np.argmin(d, axis=1)
-    counts = np.bincount(labels, minlength=P.shape[0])
-    return ClusterAssignment(labels, counts)
+    labels = _nearest(_as_points(data), P)[0]
+    return ClusterAssignment(labels, np.bincount(labels, minlength=P.shape[0]))
 
 
 def select_uniform(data, M: int, seed: int) -> InducingSet:

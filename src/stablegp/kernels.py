@@ -172,16 +172,12 @@ def _scaled_dists(A: np.ndarray, B: np.ndarray, ls: np.ndarray) -> np.ndarray:
 def gram(k: Kernel, A, B=None) -> np.ndarray:
     """Kernel matrix between point sets A (n x d) and B (m x d).
 
-    With B omitted (or identical to A) the result is exactly symmetric: only
-    the upper triangle is assembled and then mirrored.
+    With B omitted (or identical to A) the result is exactly symmetric with
+    no mirroring: each entry depends on its pair only through the squares of
+    the coordinate differences, and fl(a - b) = -fl(b - a).
     """
     A = _check_points(A, k.dim, "A")
-    if B is None or B is A:
-        U = _scaled_dists(A, A, k.lengthscales)
-        K = k.variance * _profile(k.family, U)
-        K = np.triu(K) + np.triu(K, 1).T
-        return K
-    B = _check_points(B, k.dim, "B")
+    B = A if B is None else _check_points(B, k.dim, "B")
     U = _scaled_dists(A, B, k.lengthscales)
     return k.variance * _profile(k.family, U)
 
@@ -190,11 +186,11 @@ def gram_gradients(k: Kernel, A, B=None):
     """Kernel matrix plus analytic derivatives w.r.t. variance and lengthscales.
 
     Returns (K, dK_dvariance, dK_dls) where dK_dls is a list of one matrix per
-    input dimension.  Symmetric matrices are mirrored exactly like gram().
+    input dimension.  With B omitted all three are exactly symmetric, for the
+    reason given in gram().
     """
     A = _check_points(A, k.dim, "A")
-    symmetric = B is None or B is A
-    B = A if symmetric else _check_points(B, k.dim, "B")
+    B = A if B is None else _check_points(B, k.dim, "B")
     U = _scaled_dists(A, B, k.lengthscales)
     K = k.variance * _profile(k.family, U)
     G = k.variance * _profile_radial_factor(k.family, U)
@@ -203,10 +199,6 @@ def gram_gradients(k: Kernel, A, B=None):
         diff2 = (A[:, l, None] - B[None, :, l]) ** 2
         dK_dls.append(G * diff2 / k.lengthscales[l] ** 3)
     dK_dv = K / k.variance
-    if symmetric:
-        K = np.triu(K) + np.triu(K, 1).T
-        dK_dv = np.triu(dK_dv) + np.triu(dK_dv, 1).T
-        dK_dls = [np.triu(D) + np.triu(D, 1).T for D in dK_dls]
     return K, dK_dv, dK_dls
 
 

@@ -245,12 +245,13 @@ def fit_clustered(
         raise ValueError("sigma2 must be positive")
     Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
     labels, counts = cluster_assign(data.X, Z)
-    if (counts == 0).any():
-        n_empty = int((counts == 0).sum())
-        warnings.warn(f"dropping {n_empty} inducing point(s) with empty clusters")
-        keep = np.flatnonzero(counts > 0)
-        Z = Z[keep]
-        labels, counts = cluster_assign(data.X, Z)
+    nonempty = counts > 0
+    if not nonempty.all():
+        warnings.warn(f"dropping {int((~nonempty).sum())} inducing point(s) with empty clusters")
+        # An empty cluster's point is nobody's lowest-index nearest point, so
+        # renumbering the labels equals assigning afresh to the kept points.
+        labels = (np.cumsum(nonempty) - 1)[labels]
+        Z, counts = Z[nonempty], counts[nonempty]
     m = Z.shape[0]
     u = np.bincount(labels, weights=data.y, minlength=m) / counts
     lam = sigma2 / counts

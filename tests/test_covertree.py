@@ -15,6 +15,7 @@ from stablegp import (
     separation,
     spatial_resolution,
 )
+from stablegp.covertree import _cross_distances
 
 
 def check_level_guarantees(tree, X):
@@ -62,6 +63,8 @@ def test_build_input_validation():
         build(np.zeros((3, 2)), epsilon=0.0)
     with pytest.raises(ValueError):
         build(np.zeros((3, 2)), epsilon=-1.0)
+    with pytest.raises(ValueError):
+        build(np.zeros((3, 0)), epsilon=1.0)
 
 
 def test_root_is_data_mean():
@@ -132,6 +135,51 @@ def test_r_neighbors_complete_by_brute_force():
             # lists are self-inclusive: a node is trivially within its own radius
             expected = set(np.flatnonzero(gaps[i] <= radius).tolist())
             assert set(node.r_neighbors) == expected
+
+
+def _inputs(kind, rng, n, d):
+    if kind == "uniform":
+        return rng.uniform(-3.0, 3.0, size=(n, d))
+    if kind == "grid":  # many exact ties between candidate nodes
+        return np.round(rng.uniform(-3.0, 3.0, size=(n, d)) * 2.0) / 2.0
+    centers = rng.normal(size=(5, d)) * 4.0
+    return centers[rng.integers(5, size=n)] + 0.2 * rng.normal(size=(n, d))
+
+
+def test_voronoi_leaf_assignment_is_global_nearest_inducing_point():
+    # With voronoi_repartition, the leaf assigned sets are exactly the labels
+    # of a brute-force nearest-point scan over the leaves, ties included.
+    rng = np.random.default_rng(15)
+    for kind, d, lloyd in itertools.product(["uniform", "grid", "clustered"], (1, 2, 3), (True, False)):
+        for _ in range(2):
+            X = _inputs(kind, rng, int(rng.integers(50, 800)), d)
+            tree = build(X, epsilon=float(rng.uniform(0.15, 1.0)), lloyd_averaging=lloyd, seed=int(rng.integers(100)))
+            leaf_labels = np.empty(X.shape[0], dtype=int)
+            for j, node in enumerate(tree.levels[tree.L]):
+                assert np.all(np.diff(node.assigned) > 0)
+                leaf_labels[node.assigned] = j
+            assert np.array_equal(leaf_labels, cluster_assign(X, inducing_points(tree)).labels)
+
+
+def _einsum_distances(A, B):
+    """Reference: reduce an (n, m, d) difference tensor with einsum."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def test_cross_distances_shape_independent():
+    rng = np.random.default_rng(16)
+    for d in (1, 2, 3, 4, 8):
+        # wide dynamic range and a rounded copy, so that some pairs tie
+        A = rng.normal(size=(37, d)) * np.exp(rng.uniform(-6.0, 6.0, size=(37, 1)))
+        B = np.vstack([rng.normal(size=(11, d)), np.round(A[:6] * 4.0) / 4.0])
+        D = _cross_distances(A, B)
+        assert D.shape == (37, 17)
+        single = np.array([[_cross_distances(a[None, :], b[None, :])[0, 0] for b in B] for a in A])
+        assert np.array_equal(D, single)
+        assert np.array_equal(_cross_distances(B, A), D.T)
+        if d <= 2:
+            assert np.array_equal(D, _einsum_distances(A, B))
 
 
 def test_build_seed_determinism():

@@ -10,6 +10,7 @@ from stablegp import (
     decay_envelope,
     eval_kernel,
     gram,
+    gram_gradients,
     kms_matrix,
 )
 
@@ -91,12 +92,18 @@ def test_gram_matches_bruteforce_loop():
 
 def test_gram_square_is_bitwise_symmetric_with_variance_diagonal():
     rng = np.random.default_rng(1)
-    A = rng.normal(size=(40, 2))
-    for family in ALL_FAMILIES:
-        k = Kernel(family, 2.2, np.array([0.8, 1.3]))
-        G = gram(k, A)
-        assert np.array_equal(G, G.T)
-        assert np.all(G.diagonal() == 2.2)
+    for d in (1, 2, 3):
+        A = rng.normal(size=(40, d))
+        for family in ALL_FAMILIES:
+            k = Kernel(family, 2.2, rng.uniform(0.5, 1.5, size=d))
+            G = gram(k, A)
+            assert np.array_equal(G, G.T)
+            assert np.all(G.diagonal() == 2.2)
+            K, dK_dv, dK_dls = gram_gradients(k, A)
+            assert np.array_equal(K, G)
+            for D in [dK_dv, *dK_dls]:
+                assert np.array_equal(D, D.T)
+            assert np.all(dK_dv.diagonal() == 1.0)
 
 
 def test_gram_psd_on_random_inputs():

@@ -182,6 +182,23 @@ def test_fit_clustered_drops_empty_clusters_with_warning():
     assert model.m == 1
     assert model.u[0] == pytest.approx(1.5)
 
+    # Empty clusters interleaved with kept ones, on grids where equidistant
+    # ties are common: the renumbered labels must be exactly those of a fresh
+    # assignment to the kept points, which the per-cluster sums of random
+    # targets reveal.
+    rng = np.random.default_rng(31)
+    X = np.round(rng.uniform(-1.0, 1.0, size=(300, 2)) * 8.0) / 8.0
+    y = rng.normal(size=300)
+    z = np.unique(np.round(rng.uniform(-1.0, 1.0, size=(40, 2)) * 4.0) / 4.0, axis=0)
+    far = [[50.0, 0.0], [0.0, 60.0], [-70.0, 0.0], [0.0, -80.0]]
+    z = np.insert(z, [0, 3, 7, len(z)], far, axis=0)
+    with pytest.warns(UserWarning, match="empty"):
+        model = fit_clustered(Dataset(X, y), z, Kernel(Family.MATERN32, 1.0, np.array([0.5, 0.5])), 0.3)
+    labels, counts = cluster_assign(X, model.z)
+    assert model.m <= z.shape[0] - len(far)
+    assert np.array_equal(model.cluster_counts, counts)
+    assert np.array_equal(model.u, np.bincount(labels, weights=y) / counts)
+
 
 # ---------------------------------------------------------------------------
 # clustered posterior and its equivalence oracle
