@@ -276,10 +276,10 @@ def build(
         # R-neighbors: only children of the parent's R-neighbors can be close
         # enough; within that candidate set, keep those inside the radius.
         # Siblings share the candidate set, so each parent takes one call.
-        cand_cache: dict[int, np.ndarray] = {}
+        cands: list[np.ndarray] = []
         for p, parent in enumerate(prev):
             cand = np.array(sorted(c for r in parent.r_neighbors for c in children_of[r]), dtype=int)
-            cand_cache[p] = cand
+            cands.append(cand)
             if children_of[p]:
                 d = _cross_distances(locs.take(children_of[p], axis=0), locs.take(cand, axis=0))
                 for c, row in zip(children_of[p], d <= neighbor_radii[ell]):
@@ -291,7 +291,7 @@ def build(
                 orig = prev_node.assigned
                 if orig.size == 0:
                     continue
-                cand = cand_cache[r]
+                cand = cands[r]
                 cand = cand[_cross_distances(locs.take(cand, axis=0), prev_locs[r : r + 1])[:, 0] <= reach]
                 d = _cross_distances(X.take(orig, axis=0), locs.take(cand, axis=0))
                 # cand is sorted, so ties resolve to the lowest node index
