@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,42 +60,91 @@ def load_csv(path: str) -> Dataset:
 
 
 def _load_csv_columns(path: str, require_targets: bool):
+    """Inputs, targets (None without a y column) and whether targets are present.
+
+    The header is checked in Python.  The data rows are parsed by one
+    np.loadtxt call, whose result is kept only if it has at least one row,
+    one column per header field and no non-finite value.  Otherwise the rows
+    are parsed again by the csv.reader + float loop.  That loop stays because
+    it is the reference: it accepts what float accepts but loadtxt does not
+    (quoted fields, underscores such as 1_0), and its errors name the line.
+    Both parse numbers with the same string-to-double routine, so a file
+    either parser accepts gives bit-identical arrays.
+    """
     try:
         fh = open(path, newline="")
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = _read_header(fh)
         except StopIteration:
             raise UsageError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
         has_y = header[-1] == "y"
         xcols = header[:-1] if has_y else header
         expected = [f"x{i + 1}" for i in range(len(xcols))]
         if xcols != expected or (require_targets and not has_y):
             want = "x1,...,xd" + (",y" if require_targets else "[,y]")
             raise UsageError(f"{path}: header must be {want}, got {','.join(header)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise UsageError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise UsageError(f"{path}: line {lineno}: non-numeric value") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise UsageError(f"{path}: line {lineno}: non-finite value")
-            rows.append(vals)
-    if not rows:
-        raise UsageError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
+        arr = _loadtxt_rows(fh, len(header))
+        if arr is None:
+            # Re-reading from the top keeps the decoder's chunks where the
+            # first read had them, so even a decode error reads the same.
+            fh.seek(0)
+            _read_header(fh)
+            arr = _checked_rows(path, fh, len(header))
     if has_y:
         return arr[:, :-1], arr[:, -1], True
     return arr, None, False
+
+
+def _read_header(fh) -> list:
+    # readline rather than iteration, so that tell() works afterwards
+    return [h.strip() for h in next(csv.reader(iter(fh.readline, "")))]
+
+
+# loadtxt strips Py_UNICODE_ISSPACE whitespace around a number, and that
+# counts the ASCII information separators; float rejects them.
+_INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_rows(fh, width: int) -> Optional[np.ndarray]:
+    """The rest of fh in one loadtxt call, or None if _checked_rows must decide."""
+    start = fh.tell()
+    try:
+        rest = fh.read()
+        if any(c in rest for c in _INFO_SEPARATORS):
+            return None
+        del rest
+        fh.seek(start)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if arr.shape[0] == 0 or arr.shape[1] != width or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _checked_rows(path: str, fh, width: int) -> np.ndarray:
+    """The remaining rows of fh, parsed field by field; raises UsageError naming a bad line."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise UsageError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            raise UsageError(f"{path}: line {lineno}: non-numeric value") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise UsageError(f"{path}: line {lineno}: non-finite value")
+        rows.append(vals)
+    if not rows:
+        raise UsageError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
 
 
 def write_csv_dataset(path: str, data: Dataset) -> None:
@@ -298,6 +348,21 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
 # subcommands
 
 
+def _leaf_resolution(tree: ct.CoverTree, X: np.ndarray) -> float:
+    """ct.spatial_resolution(X, ct.inducing_points(tree)) for a Voronoi-repartitioned tree, in O(N).
+
+    Its deepest level's assigned sets are the nearest-point labels, ties
+    included, and _cross_distances gives a pair the same value in any call
+    shape, so the largest distance from each leaf to its own points is the
+    full scan's result bit for bit.
+    """
+    return max(
+        float(ct._cross_distances(X.take(node.assigned, axis=0), node.location[None, :]).max())
+        for node in tree.levels[tree.L]
+        if node.assigned.size
+    )
+
+
 def cmd_select(args) -> int:
     data = load_csv(args.data)
     t0 = time.perf_counter()
@@ -321,11 +386,15 @@ def cmd_select(args) -> int:
             raise UsageError("--m is required for method=kmeans")
         z = ct.select_kmeans(data.X, args.m, args.kmeans_iters, args.seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
+    if args.method == "covertree" and not args.no_voronoi:
+        resolution = _leaf_resolution(tree, data.X)
+    else:
+        resolution = ct.spatial_resolution(data.X, z)
     payload = z.to_json()
     payload["metrics"] = {
         "M": z.m,
         "separation": ct.separation(z),
-        "spatial_resolution": ct.spatial_resolution(data.X, z),
+        "spatial_resolution": resolution,
         "wall_time_ms": wall_ms,
     }
     with open(args.out, "w") as fh:

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from stablegp import (
     separation,
     spatial_resolution,
 )
+from stablegp import cli
 from stablegp.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -84,6 +87,132 @@ def test_load_csv_errors_name_the_line(tmp_path):
         load_csv(str(short))
 
 
+def _load_both_ways(monkeypatch, path, require_targets=True):
+    """_load_csv_columns as shipped and with the loadtxt path forced off, plus
+    whether the shipped call kept loadtxt's result.  Each result is the
+    return value, or the error's type and message."""
+    kept = []
+    loadtxt_rows = cli._loadtxt_rows
+
+    def spy(fh, width):
+        arr = loadtxt_rows(fh, width)
+        kept.append(arr is not None)
+        return arr
+
+    results = []
+    for fast_path in (spy, lambda fh, width: None):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_loadtxt_rows", fast_path)
+            try:
+                results.append(cli._load_csv_columns(str(path), require_targets))
+            except ValueError as e:
+                results.append((type(e), str(e)))
+    return results[0], results[1], kept == [True]
+
+
+def _bit_equal(a, b):
+    if isinstance(a[0], type) or isinstance(b[0], type):
+        return a == b  # error tuples are 2 long, results 3
+    return all(
+        (u is None and v is None) or (u.shape == v.shape and u.dtype == v.dtype and u.tobytes() == v.tobytes())
+        for u, v in zip(a[:2], b[:2])
+    ) and a[2] == b[2]
+
+
+def test_load_csv_fast_and_slow_paths_agree(tmp_path, monkeypatch):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(300, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(300, 1))
+    X[:4, 0] = [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308]
+    y = rng.normal(size=300)
+    write_csv_dataset(str(tmp_path / "repr.csv"), Dataset(X, y))
+    np.savetxt(tmp_path / "g17.csv", np.column_stack([X, y]), fmt="%.17g", delimiter=",", header="x1,x2,y", comments="")
+    texts = {
+        "crlf.csv": "x1,x2,y\r\n0.5,1.5,2.0\r\n-1e-3,3,4.25\r\n",
+        "blank.csv": "x1,x2,y\n\n0.5,1.5,2.0\n\n\n-1e-3,3,4.25\n\n",
+        "padded.csv": "x1,x2,y\n 0.5 ,\t1.5\t,  2.0\n-1e-3\t, 3 ,4.25 \n",
+        "query.csv": "x1,x2\n0.5,1.5\n-1e-3,3\n",
+        "no_newline.csv": "x1,x2,y\n0.5,1.5,2.0\n-1e-3,3,4.25",
+        "quoted.csv": 'x1,x2,y\n"1.0",1.5,2.0\n-1e-3,3,4.25\n',
+        "underscore.csv": "x1,x2,y\n1_0,1.5,2.0\n-1e-3,3,4.25\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text.encode())
+    for name in ["repr.csv", "g17.csv", *texts]:
+        fast, slow, kept = _load_both_ways(monkeypatch, tmp_path / name, require_targets=name != "query.csv")
+        assert _bit_equal(fast, slow), name
+        assert not isinstance(fast[0], type), name
+        # loadtxt rejects quotes and underscores, which float reads
+        assert kept == (name not in ("quoted.csv", "underscore.csv")), name
+    fast, _, _ = _load_both_ways(monkeypatch, tmp_path / "repr.csv")
+    assert np.array_equal(fast[0], X) and np.array_equal(fast[1], y)
+    fast, _, _ = _load_both_ways(monkeypatch, tmp_path / "quoted.csv")
+    assert fast[0][0, 0] == 1.0
+    fast, _, _ = _load_both_ways(monkeypatch, tmp_path / "underscore.csv")
+    assert fast[0][0, 0] == 10.0
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("x1,y\n1,2\n3,nan\n5,6\n", 3),
+        ("x1,y\n1,2\n3,4\n-inf,6\n7,8\n", 4),
+        ("x1,y\n1,2\n3,1e400\n5,6\n", 3),
+        ("x1,y\n1,2\n3,4,\n5,6\n", 3),
+        ("x1,x2,y\n1,2,3\n4,5\n6,7,8\n", 3),
+        ("x1,x2,y\n1,2\n3,4\n5,6\n", 2),  # every row narrower: loadtxt returns 2 columns
+        ("x1,y\n1,2\n3\x1c,4\n", 3),  # loadtxt strips the separator, float does not
+    ],
+)
+def test_load_csv_fast_path_rejects_what_slow_path_rejects(tmp_path, monkeypatch, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    fast, slow, _ = _load_both_ways(monkeypatch, path)
+    assert isinstance(fast[0], type) and fast == slow
+    with pytest.raises(ValueError, match=f": line {line}: "):
+        load_csv(str(path))
+
+
+def test_load_csv_header_only_raises_without_warning(tmp_path):
+    for text in ("x1,y\n", "x1,y\n\n\n"):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_csv(str(path))
+
+
+def test_load_csv_fast_and_slow_paths_agree_on_random_files(tmp_path, monkeypatch):
+    # Rows glued from awkward tokens: whitespace of every kind, quotes,
+    # underscores, non-finite and out-of-range values, ragged rows, the
+    # three line endings.  Both paths must give the same arrays or errors.
+    tokens = [
+        "1.5", "-2", "1e5", "1e400", "nan", "-inf", "Infinity", "1_0", '"3"', " ", "\t", "", "\xa0",
+        "\x0b", "\x1c", "\x1f", "\x85", "\u0661", "+.5", "5.", ".", "e3", "0x1", "#", "\x00", "4.9e-324",
+    ]
+    rng = np.random.default_rng(22)
+    accepted = 0
+    for i in range(300):
+        width = int(rng.integers(1, 4))
+        header = ",".join([f"x{k + 1}" for k in range(width - 1)] + ["y"])
+        rows = []
+        for _ in range(int(rng.integers(0, 5))):
+            fields = []
+            for _ in range(int(rng.choice([width, width, width, width - 1, width + 1]))):
+                if rng.random() < 0.7:
+                    fields.append(repr(float(rng.normal())))
+                else:
+                    fields.append("".join(rng.choice(tokens, size=int(rng.integers(1, 3)))))
+            rows.append(",".join(fields))
+        newline = str(rng.choice(["\n", "\r\n", "\r"]))
+        path = tmp_path / f"r{i}.csv"
+        path.write_bytes((newline.join([header, *rows]) + newline).encode())
+        fast, slow, _ = _load_both_ways(monkeypatch, path)
+        assert _bit_equal(fast, slow), path.read_bytes()
+        accepted += not isinstance(fast[0], type)
+    assert accepted > 30
+
+
 # ---------------------------------------------------------------------------
 # select
 
@@ -118,6 +247,39 @@ def test_select_covertree_metrics_recompute(tmp_path, small_csv):
     assert obj["metrics"]["spatial_resolution"] == pytest.approx(spatial_resolution(data.X, pts))
     assert obj["metrics"]["separation"] >= 0.5
     assert obj["metrics"]["spatial_resolution"] <= 0.5
+
+
+@pytest.mark.parametrize(
+    "method, d, kind",
+    [
+        *itertools.product(["covertree", "no-voronoi", "uniform", "kmeans"], (1, 2), ("uniform", "grid")),
+        ("wide-epsilon", 1, "two"),  # test_select_covertree_wide_epsilon_single_point's data
+    ],
+)
+def test_select_spatial_resolution_is_the_full_scan(tmp_path, method, d, kind):
+    # Voronoi trees take it from the leaves' own points; it must still be the
+    # nearest-point scan's value bit for bit, ties included.
+    path = tmp_path / "data.csv"
+    if kind == "two":
+        path.write_text("x1,y\n0.0,1.0\n1.0,2.0\n")
+    else:
+        rng = np.random.default_rng((23, d, kind == "grid"))
+        X = rng.uniform(-2.0, 2.0, size=(400, d))
+        if kind == "grid":
+            X = np.round(X * 4.0) / 4.0
+        write_csv_dataset(str(path), Dataset(X, rng.normal(size=400)))
+    flags = {
+        "covertree": ["--method", "covertree", "--epsilon", "0.3"],
+        "no-voronoi": ["--method", "covertree", "--epsilon", "0.3", "--no-voronoi"],
+        "uniform": ["--method", "uniform", "--m", "25"],
+        "kmeans": ["--method", "kmeans", "--m", "25"],
+        "wide-epsilon": ["--method", "covertree", "--epsilon", "10.0"],
+    }[method]
+    out = tmp_path / "z.json"
+    assert main(["select", str(path), *flags, "--seed", "4", "--out", str(out)]) == EXIT_OK
+    obj = json.loads(out.read_text())
+    pts = np.asarray(obj["points"], dtype=float)
+    assert obj["metrics"]["spatial_resolution"] == spatial_resolution(load_csv(str(path)).X, pts)
 
 
 def test_select_rejects_bad_usage(tmp_path, small_csv):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from stablegp import ClusteredModel, Family, Kernel, clustered_posterior
+from stablegp import cli
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -68,3 +69,28 @@ def test_posterior_counter_reads_both_return_shapes(full_cov):
     belief = clustered_posterior(model, Q, full_cov=full_cov)
     counts = call.counter({"model": model, "query": Q, "full_cov": full_cov}, belief)
     assert counts == {"queries": len(Q)}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "fallback"])
+@pytest.mark.parametrize("has_y", [True, False])
+def test_load_csv_counter_reads_both_parse_paths(tmp_path, monkeypatch, quoted, has_y):
+    (call,) = [c for c in LAYER_CALLS if (c.module, c.function) == ("stablegp.cli", "_load_csv_columns")]
+    rows = [[0.5, 1.5, 2.0], [-1.0, 0.25, 3.0], [4.0, -2.5, 0.0]]
+    lines = [",".join(repr(v) for v in row[: 3 if has_y else 2]) for row in rows]
+    if quoted:
+        lines[1] = '"' + lines[1].replace(",", '","') + '"'  # float reads it, loadtxt does not
+    path = tmp_path / "data.csv"
+    path.write_text(("x1,x2,y" if has_y else "x1,x2") + "\n" + "\n".join(lines) + "\n")
+    kept = []
+    loadtxt_rows = cli._loadtxt_rows
+
+    def spy(fh, width):
+        kept.append(loadtxt_rows(fh, width))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "_loadtxt_rows", spy)
+    result = cli._load_csv_columns(str(path), require_targets=False)
+    assert (kept[0] is None) == quoted
+    assert result[2] == has_y
+    counts = call.counter({"path": str(path), "require_targets": False}, result)
+    assert counts == {"rows_read": len(rows)}
