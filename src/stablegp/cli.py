@@ -64,12 +64,14 @@ def _load_csv_columns(path: str, require_targets: bool):
 
     The header is checked in Python.  The data rows are parsed by one
     np.loadtxt call, whose result is kept only if it has at least one row,
-    one column per header field and no non-finite value.  Otherwise the rows
-    are parsed again by the csv.reader + float loop.  That loop stays because
-    it is the reference: it accepts what float accepts but loadtxt does not
-    (quoted fields, underscores such as 1_0), and its errors name the line.
-    Both parse numbers with the same string-to-double routine, so a file
-    either parser accepts gives bit-identical arrays.
+    one column per header field and no non-finite value, and if the rows
+    hold no character that loadtxt but not float takes for whitespace.
+    Otherwise the rows are parsed again by the csv.reader + float loop.
+    That loop stays because it is the reference: it accepts what float
+    accepts but loadtxt does not (quoted fields, underscores such as 1_0),
+    and its errors name the line.  Both parse numbers with the same
+    string-to-double routine, so a file either parser accepts gives
+    bit-identical arrays.
     """
     try:
         fh = open(path, newline="")
@@ -348,21 +350,6 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
 # subcommands
 
 
-def _leaf_resolution(tree: ct.CoverTree, X: np.ndarray) -> float:
-    """ct.spatial_resolution(X, ct.inducing_points(tree)) for a Voronoi-repartitioned tree, in O(N).
-
-    Its deepest level's assigned sets are the nearest-point labels, ties
-    included, and _cross_distances gives a pair the same value in any call
-    shape, so the largest distance from each leaf to its own points is the
-    full scan's result bit for bit.
-    """
-    return max(
-        float(ct._cross_distances(X.take(node.assigned, axis=0), node.location[None, :]).max())
-        for node in tree.levels[tree.L]
-        if node.assigned.size
-    )
-
-
 def cmd_select(args) -> int:
     data = load_csv(args.data)
     t0 = time.perf_counter()
@@ -387,7 +374,7 @@ def cmd_select(args) -> int:
         z = ct.select_kmeans(data.X, args.m, args.kmeans_iters, args.seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     if args.method == "covertree" and not args.no_voronoi:
-        resolution = _leaf_resolution(tree, data.X)
+        resolution = ct.leaf_resolution(tree, data.X)
     else:
         resolution = ct.spatial_resolution(data.X, z)
     payload = z.to_json()

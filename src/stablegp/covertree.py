@@ -39,6 +39,7 @@ __all__ = [
     "inducing_points",
     "separation",
     "spatial_resolution",
+    "leaf_resolution",
     "cluster_assign",
     "select_uniform",
     "select_kmeans",
@@ -385,6 +386,23 @@ def _nearest(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spatial_resolution(data, points: Union[InducingSet, np.ndarray]) -> float:
     """Maximum over the data of the distance to the nearest given point."""
     return float(_nearest(_as_points(data), _points_of(points))[1].max())
+
+
+def leaf_resolution(tree: CoverTree, data) -> float:
+    """spatial_resolution(data, inducing_points(tree)) in O(N), for a tree built
+    from data with voronoi_repartition.
+
+    The deepest level's assigned sets are then the nearest-point labels, ties
+    included, and _cross_distances gives a pair the same value in any call
+    shape, so the largest distance from each leaf to its own points is the
+    full scan's result bit for bit.
+    """
+    X = _as_points(data)
+    return max(
+        float(_cross_distances(X.take(node.assigned, axis=0), node.location[None, :]).max())
+        for node in tree.levels[tree.L]
+        if node.assigned.size
+    )
 
 
 def cluster_assign(data, z: Union[InducingSet, np.ndarray]) -> ClusterAssignment:

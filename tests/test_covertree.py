@@ -15,7 +15,7 @@ from stablegp import (
     separation,
     spatial_resolution,
 )
-from stablegp.covertree import _cross_distances
+from stablegp.covertree import _cross_distances, leaf_resolution
 
 
 def check_level_guarantees(tree, X):
@@ -159,6 +159,7 @@ def test_voronoi_leaf_assignment_is_global_nearest_inducing_point():
                 assert np.all(np.diff(node.assigned) > 0)
                 leaf_labels[node.assigned] = j
             assert np.array_equal(leaf_labels, cluster_assign(X, inducing_points(tree)).labels)
+            assert leaf_resolution(tree, X) == spatial_resolution(X, inducing_points(tree))
 
 
 def _einsum_distances(A, B):
