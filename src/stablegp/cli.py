@@ -82,10 +82,12 @@ def _load_csv_columns(path: str, require_targets: bool):
             header = _read_header(fh)
         except StopIteration:
             raise UsageError(f"{path}: empty file") from None
-        has_y = header[-1] == "y"
+        except csv.Error as e:
+            raise UsageError(f"{path}: line 1: {e}") from None
+        has_y = header[-1:] == ["y"]
         xcols = header[:-1] if has_y else header
         expected = [f"x{i + 1}" for i in range(len(xcols))]
-        if xcols != expected or (require_targets and not has_y):
+        if not header or xcols != expected or (require_targets and not has_y):
             want = "x1,...,xd" + (",y" if require_targets else "[,y]")
             raise UsageError(f"{path}: header must be {want}, got {','.join(header)}")
         arr = _loadtxt_rows(fh, len(header))
@@ -132,18 +134,23 @@ def _loadtxt_rows(fh, width: int) -> Optional[np.ndarray]:
 def _checked_rows(path: str, fh, width: int) -> np.ndarray:
     """The remaining rows of fh, parsed field by field; raises UsageError naming a bad line."""
     rows = []
-    for lineno, row in enumerate(csv.reader(fh), start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise UsageError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError:
-            raise UsageError(f"{path}: line {lineno}: non-numeric value") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise UsageError(f"{path}: line {lineno}: non-finite value")
-        rows.append(vals)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(csv.reader(fh), start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise UsageError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+            try:
+                vals = [float(v) for v in row]
+            except ValueError:
+                raise UsageError(f"{path}: line {lineno}: non-numeric value") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise UsageError(f"{path}: line {lineno}: non-finite value")
+            rows.append(vals)
+    except csv.Error as e:
+        # e.g. a field over csv.field_size_limit(); raised reading the next line
+        raise UsageError(f"{path}: line {lineno + 1}: {e}") from None
     if not rows:
         raise UsageError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -236,11 +243,18 @@ def sweep_resolution_rows(d_list, n: int, epsilons, seeds, sigma2: float) -> lis
         for seed in seeds:
             data = synthetic_prior_dataset(d, n, sigma2, seed)
             exact = exact_posterior(ExactGP(kernel, sigma2, data.X, data.y), grid)
+            # Level j >= 1 of a tree is the tree build gives at radii[j] (see
+            # covertree.build), so the finest tree serves every coarser epsilon
+            # that is a power-of-two multiple of it.
+            trees = []
             for eps in sorted(epsilons):
                 row = {"d": d, "epsilon": eps, "seed": seed}
                 try:
-                    tree = ct.build(data.X, eps, seed=seed)
-                    z = ct.inducing_points(tree)
+                    tree = next((t for t in trees if eps in t.radii[1:]), None)
+                    if tree is None:
+                        tree = ct.build(data.X, eps, seed=seed)
+                        trees.append(tree)
+                    z = ct.inducing_points(tree, tree.radii.index(eps))
                     model = fit_clustered(data, z, kernel, sigma2)
                     belief = clustered_posterior(model, grid)
                     A, _ = shifted_gram(model)

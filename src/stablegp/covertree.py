@@ -180,6 +180,16 @@ def build(
     nodes), so every level is separated by more than its radius.  With
     voronoi_repartition each level's assignment is tightened to the nearest
     node among the locally visible candidates.
+
+    L is the least L >= 1 with ldexp(epsilon, L) >= d_max, which makes the
+    trees of one dataset and seed nested: for 1 <= j <= L, build at
+    epsilon' = radii[j] = ldexp(epsilon, L - j) gives levels 0..j of this
+    tree (all but the children lists of level j, which stay empty).  Proof:
+    ldexp(epsilon', j) = radii[0] >= d_max, and for j >= 2 minimality gives
+    ldexp(epsilon', j - 1) = radii[1] < d_max, so L' = j; the power-of-two
+    scalings are exact, so radii' = radii[:j + 1]; epsilon' < d_max unless
+    j = L, so the degenerate branch is not taken; and the rank permutation,
+    the root and each level as a function of the one above are the same.
     """
     X = _as_points(data)
     if not (epsilon > 0.0):
@@ -202,7 +212,9 @@ def build(
 
     L = max(1, math.ceil(math.log2(d_max / epsilon)))
     # The level-0 radius must dominate d_max in exact float comparison, not
-    # merely up to log/exp rounding.
+    # merely up to log/exp rounding.  The guess never overshoots the least
+    # such L: d_max <= ldexp(epsilon, k) makes the rounded quotient at most
+    # 2^k, and a faithfully rounded log2 of that is at most k.
     while math.ldexp(epsilon, L) < d_max:
         L += 1
     radii = [math.ldexp(epsilon, L - ell) for ell in range(L + 1)]

@@ -40,17 +40,37 @@ class Family(str, Enum):
 
 
 def _profile(family: Family, u: np.ndarray) -> np.ndarray:
-    """Radial profile kappa(u) with kappa(0) = 1, nonincreasing on [0, inf)."""
+    """Radial profile kappa(u) with kappa(0) = 1, nonincreasing on [0, inf).
+
+    Evaluated in place: u is overwritten with kappa(u) and returned, so the
+    caller must own it.  The arithmetic is that of the textbook formulas,
+    step for step (exp(-0.5 u^2), exp(-u), (1 + su) exp(-su) and
+    (1 + su + su^2/3) exp(-su) with su = sqrt(3) u or sqrt(5) u).
+    """
     if family == Family.SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * u * u)
+        np.multiply(u, u, out=u)
+        u *= -0.5  # a power-of-two scale is exact, so this is -0.5 * u * u
+        return np.exp(u, out=u)
     if family == Family.MATERN12:
-        return np.exp(-u)
+        np.negative(u, out=u)
+        return np.exp(u, out=u)
     if family == Family.MATERN32:
-        su = _SQRT3 * u
-        return (1.0 + su) * np.exp(-su)
+        u *= _SQRT3
+        e = np.negative(u, out=np.empty_like(u))
+        np.exp(e, out=e)
+        u += 1.0
+        u *= e
+        return u
     if family == Family.MATERN52:
-        su = _SQRT5 * u
-        return (1.0 + su + su * su / 3.0) * np.exp(-su)
+        u *= _SQRT5
+        sq = np.multiply(u, u, out=np.empty_like(u))
+        sq /= 3.0
+        e = np.negative(u, out=np.empty_like(u))
+        np.exp(e, out=e)
+        u += 1.0
+        u += sq
+        u *= e
+        return u
     raise ValueError(f"unknown kernel family {family!r}")
 
 
@@ -126,7 +146,8 @@ class DecayEnvelope:
     def __call__(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.variance * _profile(self.family, m / self.ls_env)
+            # asarray: a 0-d quotient comes back as a scalar, and _profile works in place
+            out = self.variance * _profile(self.family, np.asarray(m / self.ls_env))
             out = np.where(np.isinf(m), 0.0, out)
         return out
 
@@ -155,17 +176,27 @@ def eval_kernel(k: Kernel, x, xp) -> float:
 
 
 def _scaled_dists(A: np.ndarray, B: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """Lengthscale-weighted pairwise distances, assembled in row chunks."""
+    """Lengthscale-weighted pairwise distances, assembled in row chunks.
+
+    Each chunk's squared distances are accumulated straight into the output,
+    coordinate 0 first, through one difference buffer per chunk.
+    """
     n, m = A.shape[0], B.shape[0]
     out = np.empty((n, m), dtype=float)
     rows = max(1, _CHUNK // max(1, m))
     for start in range(0, n, rows):
         stop = min(n, start + rows)
-        acc = np.zeros((stop - start, m), dtype=float)
+        acc = out[start:stop]
+        diff = acc  # coordinate 0 is squared in the output itself
         for l in range(A.shape[1]):
-            diff = (A[start:stop, l, None] - B[None, :, l]) / ls[l]
-            acc += diff * diff
-        out[start:stop] = np.sqrt(acc)
+            if l == 1:
+                diff = np.empty_like(acc)
+            np.subtract(A[start:stop, l, None], B[None, :, l], out=diff)
+            diff /= ls[l]
+            diff *= diff
+            if l:
+                acc += diff
+        np.sqrt(acc, out=acc)
     return out
 
 
@@ -178,8 +209,9 @@ def gram(k: Kernel, A, B=None) -> np.ndarray:
     """
     A = _check_points(A, k.dim, "A")
     B = A if B is None else _check_points(B, k.dim, "B")
-    U = _scaled_dists(A, B, k.lengthscales)
-    return k.variance * _profile(k.family, U)
+    K = _profile(k.family, _scaled_dists(A, B, k.lengthscales))
+    K *= k.variance
+    return K
 
 
 def gram_gradients(k: Kernel, A, B=None):
@@ -192,12 +224,17 @@ def gram_gradients(k: Kernel, A, B=None):
     A = _check_points(A, k.dim, "A")
     B = A if B is None else _check_points(B, k.dim, "B")
     U = _scaled_dists(A, B, k.lengthscales)
-    K = k.variance * _profile(k.family, U)
-    G = k.variance * _profile_radial_factor(k.family, U)
+    G = _profile_radial_factor(k.family, U)  # before _profile overwrites U
+    G *= k.variance
+    K = _profile(k.family, U)
+    K *= k.variance
     dK_dls = []
     for l in range(k.dim):
-        diff2 = (A[:, l, None] - B[None, :, l]) ** 2
-        dK_dls.append(G * diff2 / k.lengthscales[l] ** 3)
+        D = np.subtract(A[:, l, None], B[None, :, l])
+        D *= D
+        D *= G
+        D /= k.lengthscales[l] ** 3
+        dK_dls.append(D)
     dK_dv = K / k.variance
     return K, dK_dv, dK_dls
 

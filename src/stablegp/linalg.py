@@ -110,8 +110,11 @@ def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if np.max(np.abs(A - A.T)) > rtol * scale:
+    # max|A| and max|A - A.T| without the abs temporaries: fl(a - b) = -fl(b - a),
+    # so the largest entry of A - A.T is its largest magnitude.  A NaN entry
+    # makes both maxima NaN, so such a matrix passes this check.
+    scale = max(1.0, float(A.max()), float(-A.min()))
+    if (A - A.T).max() > rtol * scale:
         raise ValueError("matrix is not symmetric")
     return A
 

@@ -9,18 +9,22 @@ import pytest
 
 from stablegp import (
     Dataset,
+    ExactGP,
     Family,
     Kernel,
     build,
     clustered_posterior,
     cond_bound_with_noise,
     decay_envelope,
+    exact_posterior,
     fit_clustered,
     gram,
     inducing_points,
     lambda_max_bound,
     separation,
     spatial_resolution,
+    spectrum,
+    wasserstein2_gaussians,
 )
 from stablegp import cli
 from stablegp.cli import (
@@ -33,6 +37,7 @@ from stablegp.cli import (
     synthetic_prior_dataset,
     write_csv_dataset,
 )
+from stablegp.sgp import shifted_gram
 
 
 @pytest.fixture()
@@ -85,6 +90,18 @@ def test_load_csv_errors_name_the_line(tmp_path):
     short.write_text("x1,x2,y\n1.0,2.0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_csv(str(short))
+    # a blank first line leaves an empty header; a quoted field past the csv
+    # module's field limit sends loadtxt to the fallback, which must not crash
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\nx1,y\n1,2\n")
+    huge = tmp_path / "huge.csv"
+    huge.write_text('x1,y\n1,2\n"' + "1" * 140_000 + '",2\n')
+    for path, message in ((blank, "header must be"), (huge, "line 3")):
+        with pytest.raises(cli.UsageError, match=message):
+            load_csv(str(path))
+        out = tmp_path / "z.json"
+        assert main(["select", str(path), "--method", "uniform", "--m", "1", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
 
 def _load_both_ways(monkeypatch, path, require_targets=True):
@@ -450,14 +467,25 @@ def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
 # ---------------------------------------------------------------------------
 # sweep tables
 
-def test_sweep_resolution_table(tmp_path):
+def test_sweep_resolution_table(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
+    # 0.7 is not a power-of-two multiple of 0.25, so it gets a tree of its own;
+    # 0.5 and 1.0 are read off the 0.25 tree
     args = [
         "sweep-resolution", "--d", "1", "--n", "120",
-        "--epsilons", "0.25", "0.5", "1.0", "--seeds", "0", "1", "--sigma2", "0.1",
+        "--epsilons", "0.25", "0.5", "0.7", "1.0", "--seeds", "0", "1", "--sigma2", "0.1",
         "--out", str(out),
     ]
+    built = []
+    tree_build = cli.ct.build
+
+    def counting_build(X, epsilon, **kwargs):
+        built.append(epsilon)
+        return tree_build(X, epsilon, **kwargs)
+
+    monkeypatch.setattr(cli.ct, "build", counting_build)
     assert main(args) == EXIT_OK
+    assert built == [0.25, 0.7, 0.25, 0.7]
     meta, rows = read_table(str(out))
     assert meta["command"].startswith("sweep-resolution")
     assert all(row["status"] == "ok" for row in rows)
@@ -470,15 +498,23 @@ def test_sweep_resolution_table(tmp_path):
     data_by_seed = {s: synthetic_prior_dataset(1, 120, 0.1, s) for s in (0, 1)}
     from stablegp import build, inducing_points
 
+    grid = cli.query_grid(1, np.full(1, -5.0), np.full(1, 5.0))
+    kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.5]))
+    exact_by_seed = {s: exact_posterior(ExactGP(kernel, 0.1, d.X, d.y), grid) for s, d in data_by_seed.items()}
     for row in rows:
         data = data_by_seed[row["seed"]]
         tree = build(data.X, epsilon=row["epsilon"], seed=int(row["seed"]))
         z = inducing_points(tree)
-        kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.5]))
         model = fit_clustered(data, z, kernel, 0.1)
         env = decay_envelope(model.kernel)
         bound = cond_bound_with_noise(lambda_max_bound(env, separation(model.z), 1), model.lam)
         assert 1.0 <= row["cond"] <= bound
+        # the shared tree gives every row what a fresh build at its epsilon gives
+        belief = clustered_posterior(model, grid)
+        exact = exact_by_seed[row["seed"]]
+        assert row["m"] == model.m
+        assert row["cond"] == spectrum(shifted_gram(model)[0]).cond
+        assert row["wasserstein2"] == wasserstein2_gaussians(belief.mean, belief.cov, exact.mean, exact.cov)
 
 
 def test_kms_demo_table(tmp_path):

@@ -162,6 +162,53 @@ def test_voronoi_leaf_assignment_is_global_nearest_inducing_point():
             assert leaf_resolution(tree, X) == spatial_resolution(X, inducing_points(tree))
 
 
+def _assert_levels_of(shallow, deep, j):
+    """shallow is levels 0..j of deep, bit for bit."""
+    assert shallow.L == j
+    assert shallow.d_max == deep.d_max
+    assert shallow.radii == deep.radii[: j + 1]
+    assert shallow.neighbor_radii == deep.neighbor_radii[: j + 1]
+    for ell in range(j + 1):
+        assert len(shallow.levels[ell]) == len(deep.levels[ell])
+        for a, b in zip(shallow.levels[ell], deep.levels[ell]):
+            assert a.location.tobytes() == b.location.tobytes()
+            assert a.parent == b.parent
+            assert a.r_neighbors == b.r_neighbors
+            assert np.array_equal(a.assigned, b.assigned)
+            # the deeper tree has filled in the children of level j
+            assert a.children == (b.children if ell < j else [])
+
+
+def _assert_minimal_depth(tree):
+    assert math.ldexp(tree.epsilon, tree.L) >= tree.d_max
+    assert tree.L == 1 or math.ldexp(tree.epsilon, tree.L - 1) < tree.d_max
+
+
+def test_build_at_a_coarser_radius_gives_the_upper_levels():
+    # The trees of one dataset and seed are nested: building at radii[j]
+    # reproduces levels 0..j, which is what lets one tree serve every
+    # resolution of a power-of-two sweep.
+    rng = np.random.default_rng(17)
+    for kind, d, lloyd, voronoi in itertools.product(
+        ["uniform", "grid", "clustered"], (1, 2, 3), (True, False), (True, False)
+    ):
+        X = _inputs(kind, rng, int(rng.integers(50, 300)), d)
+        seed = int(rng.integers(100))
+        deep = build(X, float(rng.uniform(0.15, 0.6)), lloyd, voronoi, seed)
+        _assert_minimal_depth(deep)
+        for j in range(1, deep.L + 1):
+            _assert_levels_of(build(X, deep.radii[j], lloyd, voronoi, seed), deep, j)
+    # d_max / epsilon on, one ulp above and one ulp below a power of two
+    X = _inputs("uniform", rng, 200, 2)
+    exact = math.ldexp(build(X, 1.0).d_max, -4)
+    for eps, L in ((exact, 4), (float(np.nextafter(exact, 0.0)), 5), (float(np.nextafter(exact, 1.0)), 4)):
+        deep = build(X, eps, seed=3)
+        _assert_minimal_depth(deep)
+        assert deep.L == L
+        for j in range(1, deep.L + 1):
+            _assert_levels_of(build(X, deep.radii[j], seed=3), deep, j)
+
+
 def _einsum_distances(A, B):
     """Reference: reduce an (n, m, d) difference tensor with einsum."""
     diff = A[:, None, :] - B[None, :, :]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stablegp import kernels
 from stablegp import (
     DecayEnvelope,
     Family,
@@ -78,7 +79,34 @@ def test_gram_single_point():
     assert G[0, 0] == pytest.approx(3.0, abs=0.0)
 
 
-def test_gram_matches_bruteforce_loop():
+def _reference_gram_gradients(k, A, B):
+    """Out-of-place reference for gram_gradients: every temporary is a new array."""
+    U = np.zeros((A.shape[0], B.shape[0]))
+    for l in range(A.shape[1]):
+        diff = (A[:, l, None] - B[None, :, l]) / k.lengthscales[l]
+        U += diff * diff
+    U = np.sqrt(U)
+    if k.family == Family.SQUARED_EXPONENTIAL:
+        kappa = np.exp(-0.5 * U * U)
+    elif k.family == Family.MATERN12:
+        kappa = np.exp(-U)
+    elif k.family == Family.MATERN32:
+        su = math.sqrt(3.0) * U
+        kappa = (1.0 + su) * np.exp(-su)
+    else:
+        su = math.sqrt(5.0) * U
+        kappa = (1.0 + su + su * su / 3.0) * np.exp(-su)
+    K = k.variance * kappa
+    G = k.variance * kernels._profile_radial_factor(k.family, U.copy())
+    dK_dls = [G * (A[:, l, None] - B[None, :, l]) ** 2 / k.lengthscales[l] ** 3 for l in range(A.shape[1])]
+    return K, K / k.variance, dK_dls
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gram_matches_bruteforce_loop(monkeypatch):
     rng = np.random.default_rng(0)
     A = rng.normal(size=(5, 3))
     B = rng.normal(size=(4, 3))
@@ -88,6 +116,26 @@ def test_gram_matches_bruteforce_loop():
         for i in range(5):
             for j in range(4):
                 assert G[i, j] == pytest.approx(eval_kernel(k, A[i], B[j]), abs=1e-14)
+    # gram and gram_gradients work in place on their own buffers; the result
+    # is the out-of-place formula bit for bit, across chunk boundaries too,
+    # and the inputs are left as they were.
+    for chunk in (kernels._CHUNK, 50, 1):
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        for d in (1, 2, 3):
+            A = rng.normal(size=(23, d)) * 2.0
+            B = np.vstack([rng.normal(size=(14, d)), A[:3]])
+            A_before, B_before = A.copy(), B.copy()
+            for family in ALL_FAMILIES:
+                k = Kernel(family, 1.7, rng.uniform(0.4, 2.0, size=d))
+                for args in ((A,), (A, B)):
+                    K, dK_dv, dK_dls = gram_gradients(k, *args)
+                    K_ref, dK_dv_ref, dK_dls_ref = _reference_gram_gradients(k, A, args[-1])
+                    assert _same_bits(gram(k, *args), K_ref)
+                    assert _same_bits(K, K_ref)
+                    assert _same_bits(dK_dv, dK_dv_ref)
+                    assert len(dK_dls) == d
+                    assert all(_same_bits(D, D_ref) for D, D_ref in zip(dK_dls, dK_dls_ref))
+            assert _same_bits(A, A_before) and _same_bits(B, B_before)
 
 
 def test_gram_square_is_bitwise_symmetric_with_variance_diagonal():

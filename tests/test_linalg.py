@@ -16,7 +16,7 @@ from stablegp import (
     wasserstein2_gaussians,
 )
 from stablegp.diagnostics import kms_cond_bounds
-from stablegp.linalg import SpectrumMethod
+from stablegp.linalg import SpectrumMethod, _check_symmetric
 
 
 def random_spd(rng, n, cond):
@@ -49,10 +49,47 @@ def test_cholesky_failure_is_a_value():
     assert out.factor is None
 
 
+def _passes_symmetry_check(A):
+    try:
+        _check_symmetric(A)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_symmetric(A, rtol=1e-8):
+    """The symmetry verdict computed with abs, as the definition reads."""
+    scale = max(1.0, float(np.max(np.abs(A))))
+    return not np.max(np.abs(A - A.T)) > rtol * scale
+
+
 def test_cholesky_rejects_nonsymmetric():
     A = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         cholesky(A)
+    # asymmetry just above and just below rtol * scale, with the scale taken
+    # from a positive entry, from a negative entry, or from the floor of 1
+    cases = []
+    for big in (7.0, -9.0, 0.25):
+        limit = 1e-8 * max(1.0, abs(big))
+        for gap, verdict in ((np.nextafter(limit, np.inf), False), (limit, True), (np.nextafter(limit, 0.0), True)):
+            for sign in (1.0, -1.0):
+                A = np.array([[big, 0.0, 0.0], [0.0, 0.5, sign * gap], [0.0, 0.0, 0.5]])
+                assert _passes_symmetry_check(A) is verdict
+                if not verdict:
+                    with pytest.raises(ValueError):
+                        cholesky(A)
+                cases.append(A)
+    # non-finite entries on and off the diagonal, on one or both sides
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ([(0, 0)], [(0, 1)], [(1, 0)], [(0, 1), (1, 0)], [(0, 1), (0, 0)]):
+            A = np.array([[2.0, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 1e-3, 2.0]])
+            for i, j in where:
+                A[i, j] = bad
+            cases.append(A)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for A in cases:
+            assert _passes_symmetry_check(A) is _reference_symmetric(A)
 
 
 def test_cholesky_reconstruction_on_random_spd():
