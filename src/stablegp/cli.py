@@ -241,35 +241,47 @@ def sweep_resolution_rows(d_list, n: int, epsilons, seeds, sigma2: float) -> lis
         kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.full(d, 0.5 * math.sqrt(d)))
         grid = query_grid(d, np.full(d, -5.0), np.full(d, 5.0))
         for seed in seeds:
-            data = synthetic_prior_dataset(d, n, sigma2, seed)
-            exact = exact_posterior(ExactGP(kernel, sigma2, data.X, data.y), grid)
-            # Level j >= 1 of a tree is the tree build gives at radii[j] (see
-            # covertree.build), so the finest tree serves every coarser epsilon
-            # that is a power-of-two multiple of it.
-            trees = []
-            for eps in sorted(epsilons):
-                row = {"d": d, "epsilon": eps, "seed": seed}
-                try:
-                    tree = next((t for t in trees if eps in t.radii[1:]), None)
-                    if tree is None:
-                        tree = ct.build(data.X, eps, seed=seed)
-                        trees.append(tree)
-                    z = ct.inducing_points(tree, tree.radii.index(eps))
-                    model = fit_clustered(data, z, kernel, sigma2)
-                    belief = clustered_posterior(model, grid)
-                    A, _ = shifted_gram(model)
-                    report = conjugate_gradient(lambda w: A @ w, model.u, tag="kzz_plus_lambda")
-                    row.update(
-                        m=model.m,
-                        wasserstein2=wasserstein2_gaussians(belief.mean, belief.cov, exact.mean, exact.cov),
-                        cond=spectrum(A).cond,
-                        cg_iterations=report.iterations,
-                        status="ok",
-                    )
-                except (NumericalFailure, FloatingPointError) as e:
-                    row.update(m="", wasserstein2="", cond="", cg_iterations="", status=f"error: {e}")
-                rows.append(row)
+            rows.extend(_sweep_seed_rows(d, kernel, grid, n, epsilons, seed, sigma2))
     rows.sort(key=lambda r: (r["d"], r["epsilon"], r["seed"]))
+    return rows
+
+
+def _sweep_seed_rows(d: int, kernel: Kernel, grid: np.ndarray, n: int, epsilons, seed: int, sigma2: float) -> list:
+    """The sweep's rows for one (d, seed).
+
+    Everything it builds (dataset, exact posterior, trees, models) is freed
+    when it returns, so none of it is still scattered through the heap when
+    the next seed allocates its n x n Gram matrices.
+    """
+    rows = []
+    data = synthetic_prior_dataset(d, n, sigma2, seed)
+    exact = exact_posterior(ExactGP(kernel, sigma2, data.X, data.y), grid)
+    # Level j >= 1 of a tree is the tree build gives at radii[j] (see
+    # covertree.build), so the finest tree serves every coarser epsilon
+    # that is a power-of-two multiple of it.
+    trees = []
+    for eps in sorted(epsilons):
+        row = {"d": d, "epsilon": eps, "seed": seed}
+        try:
+            tree = next((t for t in trees if eps in t.radii[1:]), None)
+            if tree is None:
+                tree = ct.build(data.X, eps, seed=seed)
+                trees.append(tree)
+            z = ct.inducing_points(tree, tree.radii.index(eps))
+            model = fit_clustered(data, z, kernel, sigma2)
+            belief = clustered_posterior(model, grid)
+            A, _ = shifted_gram(model)
+            report = conjugate_gradient(lambda w: A @ w, model.u, tag="kzz_plus_lambda")
+            row.update(
+                m=model.m,
+                wasserstein2=wasserstein2_gaussians(belief.mean, belief.cov, exact.mean, exact.cov),
+                cond=spectrum(A).cond,
+                cg_iterations=report.iterations,
+                status="ok",
+            )
+        except (NumericalFailure, FloatingPointError) as e:
+            row.update(m="", wasserstein2="", cond="", cg_iterations="", status=f"error: {e}")
+        rows.append(row)
     return rows
 
 
