@@ -25,7 +25,7 @@ from scipy.stats import qmc
 
 from . import covertree as ct
 from . import diagnostics as dg
-from .kernels import Family, Kernel
+from .kernels import Family, Kernel, kms_matrix
 from .linalg import NumericalFailure, conjugate_gradient, spectrum, wasserstein2_gaussians
 from .sgp import (
     ClusteredModel,
@@ -289,8 +289,6 @@ def kms_demo_rows(rhos, ns, trials: int, seed: int) -> list:
     rows = []
     for rho in sorted(rhos):
         for n in sorted(ns):
-            from .kernels import kms_matrix
-
             K = kms_matrix(rho, n)
             cond = spectrum(K).cond
             bounds = dg.kms_cond_bounds(rho, n)
@@ -439,6 +437,8 @@ def cmd_fit(args) -> int:
     kernel = _load_kernel(args.kernel)
     if args.sigma2 <= 0.0:
         raise UsageError("--sigma2 must be positive")
+    if args.steps < 0:
+        raise UsageError("--steps must be >= 0")
     model = fit_clustered(data, z, kernel, args.sigma2)
     history = []
     if args.steps > 0:
@@ -505,6 +505,8 @@ def cmd_sweep_resolution(args) -> int:
 
 
 def cmd_kms_demo(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     rows = kms_demo_rows(args.rho, args.n, args.trials, args.seed)
     config_dict = {"rho": args.rho, "n": args.n, "trials": args.trials, "seed": args.seed}
     write_table(

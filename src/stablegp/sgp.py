@@ -33,7 +33,6 @@ from .linalg import (
     NumericalFailure,
     cho_solve,
     cholesky,
-    hutchinson_trace,
 )
 
 __all__ = [
@@ -319,29 +318,43 @@ def clustered_posterior(model: ClusteredModel, query, full_cov: bool = True) -> 
     return GaussianBelief(mean, var, None, Q)
 
 
+def _trace_probes(m: int, probes: Optional[int], seed):
+    """Probe matrix V and weight w for the trace estimates tr(B) ~ w sum(V * B V).
+
+    probes=None gives V = I_M and w = 1, so every estimate is the exact trace;
+    an integer gives that many Rademacher columns and w = 1/probes.
+    """
+    if probes is None:
+        return np.eye(m), 1.0
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
+    V = np.random.default_rng(seed).integers(0, 2, size=(m, probes)).astype(float) * 2.0 - 1.0
+    return V, 1.0 / probes
+
+
+def _kl(out: CholeskyOutcome, lam, v, Kv, V, Wm, w: float) -> float:
+    """The KL of kl_to_prior from the factor of K+L, v, K v and the probes, Wm = (K+L)^{-1} K V."""
+    logdet_A = 2.0 * float(np.sum(np.log(np.diag(out.factor))))
+    tr_AinvK = w * float(np.sum(V * Wm))
+    return 0.5 * (logdet_A - float(np.sum(np.log(lam)))) - 0.5 * tr_AinvK + 0.5 * float(v @ Kv)
+
+
 def kl_to_prior(model: ClusteredModel, trace_mode: str = "exact", probes: int = 100, seed: int = 0) -> float:
     """KL divergence from the clustered variational posterior to the prior.
 
     0.5 ln(|K+L|/|L|) - 0.5 tr((K+L)^{-1} K) + 0.5 v^T K v with v = (K+L)^{-1} u,
     writing K for K_zz and L for Lambda.  The trace term is the only piece
-    that is estimated under trace_mode="hutchinson".
+    that is estimated under trace_mode="hutchinson", with `probes` Rademacher
+    probes drawn as in training.
     """
+    if trace_mode not in ("exact", "hutchinson"):
+        raise ValueError(f"unknown trace_mode {trace_mode!r}")
+    V, w = _trace_probes(model.m, None if trace_mode == "exact" else probes, seed)
     K = gram(model.kernel, model.z)
     A, out = shifted_gram(model, K)
-    logdet_A = 2.0 * float(np.sum(np.log(np.diag(out.factor))))
-    logdet_lam = float(np.sum(np.log(model.lam)))
-    v = _solve(A, out, model.u)
-    quad = float(v @ (K @ v))
-    if trace_mode == "exact":
-        tr = float(np.trace(_solve(A, out, K)))
-    elif trace_mode == "hutchinson":
-        if probes < 1:
-            raise ValueError("probes must be >= 1")
-        est = hutchinson_trace(lambda w: _solve(A, out, K @ w), model.m, probes, seed)
-        tr = est["estimate"]
-    else:
-        raise ValueError(f"unknown trace_mode {trace_mode!r}")
-    return 0.5 * (logdet_A - logdet_lam) - 0.5 * tr + 0.5 * quad
+    sol = _solve(A, out, np.column_stack([model.u, K @ V]))
+    v = sol[:, 0]
+    return _kl(out, model.lam, v, K @ v, V, sol[:, 1:], w)
 
 
 def _objective_and_grads(
@@ -358,90 +371,47 @@ def _objective_and_grads(
     Returns (value, grads) with grads a dict holding d/dvariance,
     d/dlengthscales (vector), d/dsigma2; grads is None when want_grads is
     false.  Every solve goes through the zero-jitter Cholesky factor of
-    K_zz + Lambda.  probes=None computes the KL trace terms exactly; an
+    A = K_zz + Lambda.  The KL trace terms are read off the probes V of
+    _trace_probes: probes=None makes V the identity and the traces exact, an
     integer estimates them with that many Hutchinson probes.
 
     In the gradient of the KL term the 0.5 tr(A^{-1} dK) contributions of the
-    log-determinant and the trace term cancel exactly, so only
-    0.5 tr(A^{-1} dK A^{-1} K) and quadratic forms in v = A^{-1} u remain.
+    log-determinant and the trace term cancel exactly.  What remains, with
+    the data fit, is linear in dK_zz and dK_zb, so each kernel parameter's
+    gradient is sum(dK_zz * P) + sum(dK_zb * Pb) for two adjoints P and Pb
+    formed once per step; the noise enters through dA = dLambda = diag(lam_dot).
     """
     k = model.kernel
-    z, u, lam = model.z, model.u, model.lam
-    m = model.m
     sigma2 = model.noise_sigma2
     b = Xb.shape[0]
-    scale = n_total / b
+    c = n_total / b / (2.0 * sigma2)  # weight of the batch's squared error
 
-    K, dK_dv, dK_dls = gram_gradients(k, z)
+    K, dK_dv, dK_dls = gram_gradients(k, model.z)
     A, out = shifted_gram(model, K)
-    kb, dkb_dv, dkb_dls = gram_gradients(k, z, Xb)
-    lam_dot = lam / sigma2  # dLambda/dsigma2, entrywise
-    logdet_A = 2.0 * float(np.sum(np.log(np.diag(out.factor))))
-
-    if probes is None:
-        sol = _solve(A, out, np.column_stack([u, kb, K]))
-        v, W, AinvK = sol[:, 0], sol[:, 1 : 1 + b], sol[:, 1 + b :]
-        tr_AinvK = float(np.trace(AinvK))
-        if want_grads:
-            G = _solve(A, out, AinvK.T)  # A^{-1} K A^{-1}
-            # diag(A^{-1}) = squared column sums of L^{-1}, since A^{-1} = L^{-T} L^{-1}
-            Linv = solve_triangular(out.factor, np.eye(m), lower=True, check_finite=False)
-            tr_quad = lambda dK: float(np.sum(dK * G))  # tr(A^{-1} dK A^{-1} K)
-            tr_lam = float(lam_dot @ np.einsum("ij,ij->j", Linv, Linv))  # tr(A^{-1} dLambda)
-            tr_lam_K = float(lam_dot @ np.diag(G))  # tr(A^{-1} dLambda A^{-1} K)
-    else:
-        if probes < 1:
-            raise ValueError("probes must be >= 1")
-        rng = np.random.default_rng(seed)
-        V = rng.integers(0, 2, size=(m, probes)).astype(float) * 2.0 - 1.0
-        rhs = np.column_stack([u, kb, V, K @ V])
-        sol = _solve(A, out, rhs)
-        v = sol[:, 0]
-        W = sol[:, 1 : 1 + b]
-        T = sol[:, 1 + b : 1 + b + probes]  # A^{-1} V
-        Wm = sol[:, 1 + b + probes :]  # A^{-1} K V
-        tr_AinvK = float(np.einsum("mp,mp->p", V, Wm).mean())
-        if want_grads:
-            tr_quad = lambda dK: float(np.einsum("mp,mp->p", T, dK @ Wm).mean())
-            tr_lam = float(np.einsum("mp,m,mp->p", T, lam_dot, V).mean())
-            tr_lam_K = float(np.einsum("mp,m,mp->p", T, lam_dot, Wm).mean())
+    kb, dkb_dv, dkb_dls = gram_gradients(k, model.z, Xb)
+    V, w = _trace_probes(model.m, probes, seed)
+    p = V.shape[1]
+    sol = _solve(A, out, np.column_stack([model.u, kb, V, K @ V]))
+    v, W, T, Wm = sol[:, 0], sol[:, 1 : 1 + b], sol[:, 1 + b : 1 + b + p], sol[:, 1 + b + p :]
 
     Kv = K @ v
-    mu = kb.T @ v
-    s = k.variance - np.einsum("mb,mb->b", kb, W)
-    resid = yb - mu
-
-    kl = 0.5 * (logdet_A - float(np.sum(np.log(lam)))) - 0.5 * tr_AinvK + 0.5 * float(v @ Kv)
-    sq = float(np.sum(resid**2 + s))
-    value = kl + 0.5 * n_total * math.log(2.0 * math.pi * sigma2) + scale / (2.0 * sigma2) * sq
+    resid = yb - kb.T @ v
+    sq = float(np.sum(resid**2 + k.variance - np.einsum("mb,mb->b", kb, W)))
+    value = _kl(out, model.lam, v, Kv, V, Wm, w) + 0.5 * n_total * math.log(2.0 * math.pi * sigma2) + c * sq
 
     if not want_grads:
         return value, None
 
     t2 = _solve(A, out, Kv)
-
-    def kernel_grad(dK: np.ndarray, dkb: np.ndarray, dkvar: float) -> float:
-        dKv = dK @ v
-        g_kl = 0.5 * tr_quad(dK) + 0.5 * float(v @ dKv) - float(t2 @ dKv)
-        dmu = dkb.T @ v - W.T @ dKv
-        ds = dkvar - 2.0 * np.einsum("mb,mb->b", dkb, W) + np.einsum("mb,mb->b", W, dK @ W)
-        g_data = scale / (2.0 * sigma2) * float(np.sum(-2.0 * resid * dmu + ds))
-        return g_kl + g_data
-
-    g_variance = kernel_grad(dK_dv, dkb_dv, 1.0)
-    g_ls = np.array([kernel_grad(dK_dls[j], dkb_dls[j], 0.0) for j in range(len(dK_dls))])
-
-    # sigma^2: dA/dsigma2 = dLambda, plus the explicit 1/sigma^2 factors.
-    dmu_s = -W.T @ (lam_dot * v)
-    ds_s = np.einsum("mb,m,mb->b", W, lam_dot, W)
-    g_kl_s = 0.5 * tr_lam - m / (2.0 * sigma2) + 0.5 * tr_lam_K - float((lam_dot * v) @ t2)
-    g_data_s = (
-        n_total / (2.0 * sigma2)
-        - scale / (2.0 * sigma2**2) * sq
-        + scale / (2.0 * sigma2) * float(np.sum(-2.0 * resid * dmu_s + ds_s))
-    )
-    grads = {"variance": g_variance, "lengthscales": g_ls, "sigma2": g_kl_s + g_data_s}
-    return value, grads
+    P = 0.5 * w * (T @ Wm.T) + np.outer(0.5 * v - t2 + 2.0 * c * (W @ resid), v) + c * (W @ W.T)
+    Pb = -2.0 * c * (np.outer(v, resid) + W)
+    # np.vdot of two real matrices is the sum of their elementwise product
+    g = [np.vdot(dK, P) + np.vdot(dkb, Pb) for dK, dkb in zip([dK_dv] + dK_dls, [dkb_dv] + dkb_dls)]
+    lam_dot = model.lam / sigma2  # dLambda/dsigma2, entrywise
+    Ainv_diag = w * np.einsum("mp,mp->m", T, V)  # diag(A^{-1}) read through the probes
+    g_sigma2 = float(lam_dot @ (np.diag(P) + 0.5 * (Ainv_diag - v * v)))
+    g_sigma2 += (n_total - model.m) / (2.0 * sigma2) - c * sq / sigma2
+    return value, {"variance": float(g[0]) + c * b, "lengthscales": np.array(g[1:]), "sigma2": g_sigma2}
 
 
 def training_objective(
@@ -476,6 +446,8 @@ def train(model: ClusteredModel, data: Dataset, config: TrainConfig = TrainConfi
     cluster counts stay fixed, and Lambda is re-derived as sigma^2/N_cl
     after every noise update so the model remains in the clustered family.
     """
+    if config.batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if config.steps == 0:
         return TrainResult(model, [])
     counts = model.cluster_counts

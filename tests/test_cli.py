@@ -342,6 +342,16 @@ def test_fit_deterministic_under_seed(tmp_path, small_csv, kernel_json):
     assert m2.read_text() == text1
 
 
+def test_fit_rejects_empty_batch_and_negative_steps(tmp_path, small_csv, kernel_json, capsys):
+    z_path, _ = fit_files(tmp_path, small_csv, kernel_json)
+    for extra in (["--steps", "1", "--batch", "0"], ["--steps", "-2"]):
+        out = tmp_path / "rejected.json"
+        args = ["fit", str(small_csv), str(z_path), str(kernel_json), "--out", str(out)] + extra
+        assert main(args) == EXIT_USAGE
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+
 def test_fit_training_log_mostly_nonincreasing(tmp_path, kernel_json):
     rng = np.random.default_rng(7)
     data = synthetic_prior_dataset(d=2, n=300, sigma2=0.09, seed=5)
@@ -531,6 +541,13 @@ def test_kms_demo_table(tmp_path):
     for n in (64, 256):
         errs = [r["err_median"] for r in sorted(rows, key=lambda r: r["rho"]) if r["n"] == n]
         assert errs[0] <= errs[1]
+
+
+def test_kms_demo_rejects_zero_trials(tmp_path, capsys):
+    out = tmp_path / "kms.csv"
+    assert main(["kms-demo", "--rho", "0.9", "--n", "64", "--trials", "0", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_datasize_sweep_table(tmp_path):

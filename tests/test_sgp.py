@@ -456,8 +456,10 @@ def test_objective_zero_targets_reduces_to_variance_terms():
 def test_analytic_gradients_match_finite_differences():
     from stablegp.sgp import _objective_and_grads
 
-    for family in (Family.SQUARED_EXPONENTIAL, Family.MATERN52):
-        kernel, _, X, y, rng = random_problem(44, 35, 2, family=family)
+    cases = [(Family.SQUARED_EXPONENTIAL, 2), (Family.MATERN52, 2)]
+    cases += [(family, d) for d in (1, 3) for family in Family]
+    for family, d in cases:
+        kernel, _, X, y, rng = random_problem(44, 35, d, family=family)
         sigma2 = 0.3
         data = Dataset(X, y)
         tree = build(X, epsilon=1.0)
@@ -465,7 +467,7 @@ def test_analytic_gradients_match_finite_differences():
         _, grads = _objective_and_grads(model, X, y, data.n, None, 0, want_grads=True)
         analytic = np.concatenate([[grads["variance"]], grads["lengthscales"], [grads["sigma2"]]])
 
-        names = ["variance"] + [f"ls{j}" for j in range(2)] + ["sigma2"]
+        names = ["variance"] + [f"ls{j}" for j in range(d)] + ["sigma2"]
         for idx, name in enumerate(names):
             def perturbed(h):
                 v = kernel.variance + (h if name == "variance" else 0.0)
@@ -481,6 +483,29 @@ def test_analytic_gradients_match_finite_differences():
             h = 1e-5
             fd = (perturbed(h) - perturbed(-h)) / (2.0 * h)
             assert analytic[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def test_hutchinson_gradients_are_unbiased():
+    # Each Hutchinson gradient is linear in the trace estimates, so over many
+    # probe draws its mean must match the exact-mode gradient to within a few
+    # standard errors, component by component.
+    from stablegp.sgp import _objective_and_grads
+
+    kernel, _, X, y, rng = random_problem(45, 60, 2, family=Family.MATERN32)
+    data = Dataset(X, y)
+    model = fit_clustered(data, inducing_points(build(X, epsilon=0.8)), kernel, 0.25)
+    assert 15 <= model.m <= 25
+    idx = rng.choice(data.n, size=30, replace=False)
+
+    def flat(probes, seed):
+        _, g = _objective_and_grads(model, X[idx], y[idx], data.n, probes, seed)
+        return np.concatenate([[g["variance"]], g["lengthscales"], [g["sigma2"]]])
+
+    exact = flat(None, 0)
+    draws = np.array([flat(4, (7, seed)) for seed in range(300)])
+    stderr = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    assert np.all(stderr > 0.0)
+    assert np.all(np.abs(draws.mean(axis=0) - exact) <= 4.0 * stderr)
 
 
 # ---------------------------------------------------------------------------
