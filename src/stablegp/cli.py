@@ -14,7 +14,9 @@ import argparse
 import csv
 import hashlib
 import json
+import lzma
 import math
+import os
 import sys
 import time
 import warnings
@@ -79,7 +81,7 @@ def _load_csv_columns(path: str, require_targets: bool):
         raise UsageError(f"cannot read {path}: {e}") from None
     with fh:
         try:
-            header = _read_header(fh)
+            header, header_lines = _read_header(fh)
         except StopIteration:
             raise UsageError(f"{path}: empty file") from None
         except csv.Error as e:
@@ -90,7 +92,7 @@ def _load_csv_columns(path: str, require_targets: bool):
         if not header or xcols != expected or (require_targets and not has_y):
             want = "x1,...,xd" + (",y" if require_targets else "[,y]")
             raise UsageError(f"{path}: header must be {want}, got {','.join(header)}")
-        arr = _loadtxt_rows(fh, len(header))
+        arr = _loadtxt_rows(fh, len(header), header_lines)
         if arr is None:
             # Re-reading from the top keeps the decoder's chunks where the
             # first read had them, so even a decode error reads the same.
@@ -102,9 +104,11 @@ def _load_csv_columns(path: str, require_targets: bool):
     return arr, None, False
 
 
-def _read_header(fh) -> list:
-    # readline rather than iteration, so that tell() works afterwards
-    return [h.strip() for h in next(csv.reader(iter(fh.readline, "")))]
+def _read_header(fh) -> tuple[list, int]:
+    """The header's stripped fields and the number of physical lines it spans."""
+    # readline rather than iteration, so that seek() works afterwards
+    reader = csv.reader(iter(fh.readline, ""))
+    return [h.strip() for h in next(reader)], reader.line_num
 
 
 # loadtxt strips Py_UNICODE_ISSPACE whitespace around a number, and that
@@ -112,19 +116,33 @@ def _read_header(fh) -> list:
 _INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _loadtxt_rows(fh, width: int) -> Optional[np.ndarray]:
-    """The rest of fh in one loadtxt call, or None if _checked_rows must decide."""
-    start = fh.tell()
+def _loadtxt_rows(fh, width: int, skiprows: int) -> Optional[np.ndarray]:
+    """The rows of fh after its first skiprows lines in one loadtxt call, or
+    None if _checked_rows must decide.
+
+    loadtxt is given the file's path, from which it reads large chunks in C;
+    given the handle it would iterate it line by line in Python.  It opens the
+    path with fh's encoding, and its universal newlines end a line wherever
+    fh's newline="" mode does, so its first skiprows lines are the header.
+    The rest of fh is decoded here first, so a decode error, like an
+    information separator, leaves the rows to _checked_rows.
+    """
     try:
         rest = fh.read()
         if any(c in rest for c in _INFO_SEPARATORS):
             return None
         del rest
-        fh.seek(start)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-    except ValueError:
+            # numpy's loader downloads a path that parses as a URL, which an
+            # absolute path never does.  It picks a decompressor by the
+            # suffix, so a plain-text file named *.gz, *.bz2 or *.xz raises
+            # OSError or LZMAError there and is left to the loop.
+            arr = np.loadtxt(
+                os.path.abspath(fh.name), delimiter=",", ndmin=2, comments=None,
+                skiprows=skiprows, encoding=fh.encoding,
+            )
+    except (ValueError, OSError, lzma.LZMAError):
         return None
     if arr.shape[0] == 0 or arr.shape[1] != width or not np.isfinite(arr).all():
         return None
@@ -395,6 +413,8 @@ def cmd_select(args) -> int:
     else:
         if args.m is None:
             raise UsageError("--m is required for method=kmeans")
+        if args.kmeans_iters < 0:
+            raise UsageError("--kmeans-iters must be >= 0")
         z = ct.select_kmeans(data.X, args.m, args.kmeans_iters, args.seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     if args.method == "covertree" and not args.no_voronoi:
@@ -518,6 +538,8 @@ def cmd_kms_demo(args) -> int:
 
 
 def cmd_datasize_sweep(args) -> int:
+    if args.steps < 0:
+        raise UsageError("--steps must be >= 0")
     data = load_csv(args.data)
     kernel = _load_kernel(args.kernel) if args.kernel else default_kernel(data.d)
     rows = datasize_sweep_rows(data, args.n_list, args.m_list, args.methods, kernel, args.sigma2, args.steps, args.seed)

@@ -10,16 +10,22 @@ children of its parent's R-neighbors, which is what keeps the build near
 linear in N.
 
 Every distance taken during construction and by the metric helpers below
-goes through _cross_distances.  The separation/resolution guarantees are
-asserted with no tolerance, so the builder and the checkers must see
-bit-identical floating point values.  _cross_distances accumulates squared
-coordinate differences into one (n, m) array, coordinate by coordinate, so
-the value it gives a pair does not depend on the shapes of the call; for
-d <= 2 it is also bit-identical to reducing an (n, m, d) difference tensor
-with einsum.  Each new node claims its points with one distance call over
-the concatenated pools of its parent's neighbors.  Previous-level nodes that
-the triangle inequality puts out of reach are skipped in that claim and in
-the Voronoi pass; skipping them never changes the outcome of a comparison.
+goes through _distances, mostly as the all-pairs _cross_distances.  The
+separation/resolution guarantees are asserted with no tolerance, so the
+builder and the checkers must see bit-identical floating point values.
+_distances accumulates squared coordinate differences into one array,
+coordinate by coordinate, so the value it gives a pair does not depend on
+the shapes of the call; for d <= 2 it is also bit-identical to reducing an
+(n, m, d) difference tensor with einsum.  Each new node claims its points
+with one distance call over the concatenated pools of its parent's
+neighbors.  Previous-level nodes that the triangle inequality puts out of
+reach are skipped in that claim and in the Voronoi pass; skipping them never
+changes the outcome of a comparison.
+
+The nearest-point scan behind cluster_assign and spatial_resolution lets a
+k-d tree shortlist the candidates.  The tree's distances only rank them,
+with a slack far above their rounding; every distance that decides a label
+or is returned still comes from _distances.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "CoverTreeNode",
@@ -48,9 +55,10 @@ __all__ = [
 # Row block for pairwise-distance scans; bounds peak memory, not results.
 _BLOCK = 256
 
-# Relative slack on triangle-inequality pruning in build.  It dwarfs the
-# rounding error of any computed distance, so a point or node is only ever
-# skipped when its own computed distance could not have passed the test.
+# Relative slack on triangle-inequality pruning in build and on the k-d tree
+# shortlist in _nearest.  It dwarfs the rounding error of any computed
+# distance, so a point or node is only ever skipped when its own computed
+# distance could not have passed the test.
 _PRUNE_SLACK = 1e-9
 
 
@@ -61,24 +69,29 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-def _cross_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows of A and rows of B, as an (n, m) array.
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of A and B, broadcast against each other.
 
     The single distance code path of this module: per-pair arithmetic must
     not depend on array shapes, otherwise the exact comparisons made during
     construction could disagree with the metric helpers.  Squared coordinate
-    differences are accumulated straight into one (n, m) array, coordinate 0
-    first, so every entry is the same left-to-right sum whatever n and m are.
-    For d <= 2 that sum is bit-identical to reducing an (n, m, d) difference
-    tensor with einsum; for d >= 3 the last ulp may differ from it.
+    differences (the last axis) are accumulated straight into one array,
+    coordinate 0 first, so every entry is the same left-to-right sum whatever
+    the shapes are.  For d <= 2 that sum is bit-identical to reducing a
+    difference tensor with einsum; for d >= 3 the last ulp may differ from it.
     """
-    acc = A[:, 0, None] - B[None, :, 0]
+    acc = A[..., 0] - B[..., 0]
     acc *= acc
-    for k in range(1, A.shape[1]):
-        diff = A[:, k, None] - B[None, :, k]
+    for k in range(1, A.shape[-1]):
+        diff = A[..., k] - B[..., k]
         diff *= diff
         acc += diff
     return np.sqrt(acc, out=acc)
+
+
+def _cross_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances between every row of A and every row of B, as an (n, m) array."""
+    return _distances(A[:, None, :], B)
 
 
 @dataclass
@@ -382,17 +395,25 @@ def separation(points: Union[InducingSet, np.ndarray]) -> float:
 def _nearest(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of and distance to the nearest row of P for every row of X.
 
-    One blocked scan serves spatial_resolution and cluster_assign; ties pick
-    the lowest index.
+    Exactly the argmin of the full scan _cross_distances(X, P), ties to the
+    lowest index, and its distance.  A k-d tree over P gives each row its two
+    nearest candidates.  The tree's distances agree with _distances' to a
+    relative rounding error far below _PRUNE_SLACK, and it never skips a point
+    that is nearer than its second candidate by more than that error, so
+    where the second distance exceeds the first by more than the slack, the
+    first candidate is the argmin.  The other rows (exact and near ties, and
+    distances that overflow) take the full scan, so only they cost O(M).
     """
-    labels = np.empty(X.shape[0], dtype=int)
-    dists = np.empty(X.shape[0])
-    for i0 in range(0, X.shape[0], _BLOCK):
-        d = _cross_distances(X[i0 : i0 + _BLOCK], P)
-        rows = slice(i0, i0 + d.shape[0])
-        labels[rows] = np.argmin(d, axis=1)
-        dists[rows] = np.take_along_axis(d, labels[rows, None], axis=1)[:, 0]
-    return labels, dists
+    if P.shape[0] == 1:
+        labels = np.zeros(X.shape[0], dtype=int)
+    else:
+        dist, idx = cKDTree(P).query(X, k=2)
+        labels = idx[:, 0].copy()
+        (undecided,) = np.nonzero(~(dist[:, 1] > dist[:, 0] * (1.0 + _PRUNE_SLACK)))
+        for i0 in range(0, undecided.size, _BLOCK):
+            rows = undecided[i0 : i0 + _BLOCK]
+            labels[rows] = np.argmin(_cross_distances(X.take(rows, axis=0), P), axis=1)
+    return labels, _distances(X, P.take(labels, axis=0))
 
 
 def spatial_resolution(data, points: Union[InducingSet, np.ndarray]) -> float:

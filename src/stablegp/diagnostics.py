@@ -46,19 +46,31 @@ _MAX_TERMS = 1 << 26
 def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
     """Largest-eigenvalue bound for kernel matrices of delta-separated points.
 
-    psi(0) + 5^d (2/delta)^d sum_{m>=1} (m - 1/2)^(d-1) psi(m delta), with the
-    series truncated once the integral-test tail bound drops below 1e-10 of
-    the partial sum.  Valid for any point set with separation >= delta.
+    psi(0) + sum_{m>=1} ((2m+3)^d - (2m-1)^d) psi(m delta), with the series
+    truncated once the integral-test tail bound drops below 1e-10 of the
+    partial sum.  Valid for any point set in R^d with separation >= delta,
+    and unchanged when the points, delta and the lengthscale are scaled
+    together, since only psi(m delta) carries a length.
+
+    Proof (a Gershgorin row bound).  K is symmetric, so lambda_max(K) <=
+    max_i sum_j |K_ij|.  Fix row i.  The diagonal entry is psi(0).  Any other
+    x_j lies at distance r >= delta from x_i, so r is in [m delta,
+    (m+1) delta) for one m >= 1, and |K_ij| <= psi(r) <= psi(m delta)
+    because the envelope is nonincreasing.  The open balls of radius
+    delta/2 around the points are pairwise disjoint, and for the x_j of
+    shell m they lie inside the annulus of radii (m - 1/2) delta and
+    (m + 3/2) delta around x_i.  Comparing volumes, shell m holds at most
+    ((m + 3/2)^d - (m - 1/2)^d) / (1/2)^d = (2m+3)^d - (2m-1)^d points, a
+    count free of units.  Summing over the shells bounds the row.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     if d < 1:
         raise ValueError("d must be >= 1")
-    prefactor = 5.0**d * (2.0 / delta) ** d
     head = float(psi(0.0))
 
     def term(u):
-        return (u - 0.5) ** (d - 1) * psi(u * delta)
+        return ((2.0 * u + 3.0) ** d - (2.0 * u - 1.0) ** d) * psi(u * delta)
 
     series = 0.0
     m0 = 1
@@ -67,11 +79,11 @@ def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
         terms = term(ms)
         series += float(terms.sum())
         m0 += _CHUNK
-        partial = head + prefactor * series
+        partial = head + series
         # The integral test needs a decreasing integrand from the cut point on.
         if np.all(np.diff(terms) <= 0.0):
             tail, _ = quad(term, m0 - 0.5, np.inf, limit=200)
-            if prefactor * tail < _TAIL_RTOL * partial:
+            if tail < _TAIL_RTOL * partial:
                 return partial
     raise ValueError("series tail does not decay; envelope decreases too slowly for this bound")
 

@@ -111,13 +111,13 @@ def _load_both_ways(monkeypatch, path, require_targets=True):
     kept = []
     loadtxt_rows = cli._loadtxt_rows
 
-    def spy(fh, width):
-        arr = loadtxt_rows(fh, width)
+    def spy(fh, width, skiprows):
+        arr = loadtxt_rows(fh, width, skiprows)
         kept.append(arr is not None)
         return arr
 
     results = []
-    for fast_path in (spy, lambda fh, width: None):
+    for fast_path in (spy, lambda fh, width, skiprows: None):
         with monkeypatch.context() as m:
             m.setattr(cli, "_loadtxt_rows", fast_path)
             try:
@@ -151,15 +151,30 @@ def test_load_csv_fast_and_slow_paths_agree(tmp_path, monkeypatch):
         "no_newline.csv": "x1,x2,y\n0.5,1.5,2.0\n-1e-3,3,4.25",
         "quoted.csv": 'x1,x2,y\n"1.0",1.5,2.0\n-1e-3,3,4.25\n',
         "underscore.csv": "x1,x2,y\n1_0,1.5,2.0\n-1e-3,3,4.25\n",
+        "lone_cr.csv": "x1,x2,y\r0.5,1.5,2.0\r-1e-3,3,4.25\r",
+        "mixed.csv": "x1,x2,y\r\n0.5,1.5,2.0\n-1e-3,3,4.25\r\n7,8,9\r10,11,12\n",
+        "two_line_header.csv": '"x1\r\n",x2,y\r\n0.5,1.5,2.0\n-1e-3,3,4.25\n',
+        # numpy opens a path by its suffix: plain text under a compressed name
+        "plain.csv.gz": "x1,x2,y\n0.5,1.5,2.0\n-1e-3,3,4.25\n",
+        "plain.csv.xz": "x1,x2,y\n0.5,1.5,2.0\n-1e-3,3,4.25\n",
     }
     for name, text in texts.items():
         (tmp_path / name).write_bytes(text.encode())
+    # loadtxt rejects quotes and underscores, which float reads, and the
+    # compressed names fail to decompress
+    slow_only = ("quoted.csv", "underscore.csv", "plain.csv.gz", "plain.csv.xz")
     for name in ["repr.csv", "g17.csv", *texts]:
         fast, slow, kept = _load_both_ways(monkeypatch, tmp_path / name, require_targets=name != "query.csv")
         assert _bit_equal(fast, slow), name
         assert not isinstance(fast[0], type), name
-        # loadtxt rejects quotes and underscores, which float reads
-        assert kept == (name not in ("quoted.csv", "underscore.csv")), name
+        assert kept == (name not in slow_only), name
+    # Bytes that are not UTF-8, in the header's chunk and past it: the data
+    # rows are decoded before loadtxt runs, so both paths raise the same error.
+    rows = "".join(f"{i},{i / 7!r}\n" for i in range(2000)).encode()
+    for name, data in (("latin1_head.csv", b"x1,y\n1,\xe92\n"), ("latin1_tail.csv", b"x1,y\n" + rows + b"3,\xff\n")):
+        (tmp_path / name).write_bytes(data)
+        fast, slow, kept = _load_both_ways(monkeypatch, tmp_path / name)
+        assert fast == slow and fast[0] is UnicodeDecodeError and not kept, name
     fast, _, _ = _load_both_ways(monkeypatch, tmp_path / "repr.csv")
     assert np.array_equal(fast[0], X) and np.array_equal(fast[1], y)
     fast, _, _ = _load_both_ways(monkeypatch, tmp_path / "quoted.csv")
@@ -305,6 +320,10 @@ def test_select_rejects_bad_usage(tmp_path, small_csv):
     assert main(["select", str(small_csv), "--method", "covertree", "--out", str(out)]) == EXIT_USAGE
     assert main(["select", str(tmp_path / "missing.csv"), "--method", "uniform", "--m", "3", "--out", str(out)]) == EXIT_USAGE
     assert main(["select", str(small_csv), "--method", "uniform", "--m", "99", "--out", str(out)]) == EXIT_USAGE
+    kmeans = ["select", str(small_csv), "--method", "kmeans", "--m", "5", "--out", str(out)]
+    assert main(kmeans + ["--kmeans-iters", "-1"]) == EXIT_USAGE
+    assert not out.exists()
+    assert main(kmeans + ["--kmeans-iters", "0"]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +580,9 @@ def test_datasize_sweep_table(tmp_path):
         "--methods", "covertree", "uniform", "--sigma2", "0.04", "--seed", "2",
         "--out", str(out),
     ]
+    rejected = tmp_path / "rejected.csv"
+    assert main(args[:-1] + [str(rejected), "--steps", "-1"]) == EXIT_USAGE
+    assert not rejected.exists()
     assert main(args) == EXIT_OK
     _, rows = read_table(str(out))
     ok = [r for r in rows if r["status"] == "ok" and r["method"] == "covertree"]

@@ -15,6 +15,7 @@ from stablegp import (
     separation,
     spatial_resolution,
 )
+from stablegp import covertree
 from stablegp.covertree import _cross_distances, leaf_resolution
 
 
@@ -304,6 +305,72 @@ def test_cluster_assign_examples():
     # equidistant datum goes to the lowest index
     labels, _ = cluster_assign(np.array([[0.5]]), z)
     assert labels[0] == 0
+
+
+def brute_nearest(X, Z):
+    """The full O(N M) scan: argmin over every distance, ties to the lowest index."""
+    d = _cross_distances(X, Z)
+    labels = np.argmin(d, axis=1)
+    return labels, d[np.arange(X.shape[0]), labels]
+
+
+def nearest_cases():
+    """(name, X, Z) inputs for the nearest-point scan, d = 1-3."""
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        X = rng.uniform(-4.0, 4.0, size=(3000, d))
+        yield f"uniform-{d}", X, rng.uniform(-4.0, 4.0, size=(60, d))
+        grid = np.round(X * 2.0) / 2.0  # many equidistant pairs
+        yield f"grid-{d}", grid, np.round(rng.uniform(-4.0, 4.0, size=(40, d)))
+        yield f"grid-subset-{d}", grid, grid[:50]
+        blobs = rng.normal(scale=0.05, size=(3000, d)) + rng.integers(0, 4, size=(3000, 1))
+        yield f"clustered-{d}", blobs, blobs[rng.choice(3000, 30, replace=False)]
+        Z = X[:80]
+        yield f"coincident-{d}", X, Z
+        yield f"duplicated-z-{d}", grid, np.vstack([grid[:20], grid[5:15], grid[:3]])
+        yield f"m1-{d}", X, X[7:8]
+        tree = build(X, 0.5, seed=2)
+        yield f"covertree-{d}", X, inducing_points(tree).points
+
+
+def test_cluster_assign_and_resolution_match_the_brute_scan():
+    for name, X, Z in nearest_cases():
+        labels, dists = brute_nearest(X, Z)
+        got = cluster_assign(X, Z)
+        assert np.array_equal(got.labels, labels), name
+        assert np.array_equal(got.counts, np.bincount(labels, minlength=Z.shape[0])), name
+        assert spatial_resolution(X, Z) == dists.max(), name
+
+
+def test_select_kmeans_unchanged_by_the_nearest_scan(monkeypatch):
+    for name, X, _ in nearest_cases():
+        if name.startswith(("uniform", "grid-subset", "clustered")):
+            got = select_kmeans(X, 12, iters=15, seed=4).points
+            with monkeypatch.context() as m:
+                m.setattr(covertree, "_nearest", brute_nearest)
+                want = select_kmeans(X, 12, iters=15, seed=4).points
+            assert np.array_equal(got, want), name
+
+
+def test_cluster_assign_does_not_scan_every_pair(monkeypatch):
+    # Only rows whose two nearest candidates tie within the slack may reach
+    # a distance call with all M points; the rest cost O(1) distances each.
+    rng = np.random.default_rng(32)
+    X = rng.uniform(-5.0, 5.0, size=(20_000, 2))
+    Z = select_uniform(X, 140, seed=3).points
+    entries = []
+    distances = covertree._distances
+
+    def counted(A, B):
+        out = distances(A, B)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(covertree, "_distances", counted)
+    got = cluster_assign(X, Z)
+    monkeypatch.undo()
+    assert np.array_equal(got.labels, brute_nearest(X, Z)[0])
+    assert sum(entries) <= 2 * X.shape[0] < X.shape[0] * Z.shape[0] // 50
 
 
 def test_select_uniform():

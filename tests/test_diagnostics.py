@@ -59,6 +59,23 @@ def test_lambda_max_bound_dominates_observed_spectra():
         assert observed <= bound
 
 
+def test_lambda_max_bound_is_independent_of_units():
+    # A 21 x 21 grid with spacing equal to the lengthscale, in three units:
+    # the kernel matrix is the same, so the bound must be too.
+    g = np.arange(21.0)
+    grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    bounds = []
+    for s in (0.1, 1.0, 10.0):
+        k = Kernel(Family.MATERN32, 1.0, np.full(2, s))
+        pts = s * grid
+        bound = lambda_max_bound(decay_envelope(k), separation(pts), 2)
+        observed = float(np.linalg.eigvalsh(gram(k, pts))[-1])
+        assert observed <= bound, s
+        bounds.append(bound)
+    assert bounds[0] == pytest.approx(bounds[1], rel=1e-12)
+    assert bounds[2] == pytest.approx(bounds[1], rel=1e-12)
+
+
 def test_cond_bound_formula_cases():
     assert cond_bound_with_noise(3.0, np.array([0.5, 0.5])) == pytest.approx(7.0)
     assert cond_bound_with_noise(0.0, np.array([0.2, 0.8])) == pytest.approx(4.0)

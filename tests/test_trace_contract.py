@@ -84,8 +84,8 @@ def test_load_csv_counter_reads_both_parse_paths(tmp_path, monkeypatch, quoted, 
     kept = []
     loadtxt_rows = cli._loadtxt_rows
 
-    def spy(fh, width):
-        kept.append(loadtxt_rows(fh, width))
+    def spy(fh, width, skiprows):
+        kept.append(loadtxt_rows(fh, width, skiprows))
         return kept[-1]
 
     monkeypatch.setattr(cli, "_loadtxt_rows", spy)
