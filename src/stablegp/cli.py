@@ -23,7 +23,6 @@ import warnings
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import covertree as ct
 from . import diagnostics as dg
@@ -98,7 +97,7 @@ def _load_csv_columns(path: str, require_targets: bool):
             # first read had them, so even a decode error reads the same.
             fh.seek(0)
             _read_header(fh)
-            arr = _checked_rows(path, fh, len(header))
+            arr = _checked_rows(path, fh, len(header), header_lines)
     if has_y:
         return arr[:, :-1], arr[:, -1], True
     return arr, None, False
@@ -149,12 +148,20 @@ def _loadtxt_rows(fh, width: int, skiprows: int) -> Optional[np.ndarray]:
     return arr
 
 
-def _checked_rows(path: str, fh, width: int) -> np.ndarray:
-    """The remaining rows of fh, parsed field by field; raises UsageError naming a bad line."""
+def _checked_rows(path: str, fh, width: int, header_lines: int) -> np.ndarray:
+    """The remaining rows of fh, parsed field by field; raises UsageError naming
+    the physical line on which a bad record starts.
+
+    header_lines is the number of physical lines already read from fh, and a
+    quoted field may hold line breaks, so records are numbered by the reader's
+    line_num rather than counted.
+    """
     rows = []
-    lineno = 1
+    reader = csv.reader(fh)
+    next_line = header_lines + 1
     try:
-        for lineno, row in enumerate(csv.reader(fh), start=2):
+        for row in reader:
+            lineno, next_line = next_line, header_lines + reader.line_num + 1
             if not row:
                 continue
             if len(row) != width:
@@ -167,8 +174,8 @@ def _checked_rows(path: str, fh, width: int) -> np.ndarray:
                 raise UsageError(f"{path}: line {lineno}: non-finite value")
             rows.append(vals)
     except csv.Error as e:
-        # e.g. a field over csv.field_size_limit(); raised reading the next line
-        raise UsageError(f"{path}: line {lineno + 1}: {e}") from None
+        # e.g. a field over csv.field_size_limit(); raised reading the next record
+        raise UsageError(f"{path}: line {next_line}: {e}") from None
     if not rows:
         raise UsageError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -239,6 +246,8 @@ def default_kernel(d: int) -> Kernel:
 
 def query_grid(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """64-point low-discrepancy grid over the data's bounding box."""
+    from scipy.stats import qmc  # deferred: scipy.stats would slow every command's start-up
+
     unit = qmc.Sobol(d, scramble=False).random_base2(6)
     return lo + unit * (hi - lo)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 
 from .covertree import separation
@@ -82,6 +81,8 @@ def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
         partial = head + series
         # The integral test needs a decreasing integrand from the cut point on.
         if np.all(np.diff(terms) <= 0.0):
+            from scipy.integrate import quad  # deferred: scipy.integrate would slow every command's start-up
+
             tail, _ = quad(term, m0 - 0.5, np.inf, limit=200)
             if tail < _TAIL_RTOL * partial:
                 return partial

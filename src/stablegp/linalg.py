@@ -133,7 +133,7 @@ def cholesky(A: np.ndarray, jitter_policy: Optional[JitterPolicy] = None, tag: s
     jitter = 0.0
     while True:
         try:
-            L = np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(A.shape[0]))
+            L = sla.cholesky(A if jitter == 0.0 else A + jitter * np.eye(A.shape[0]), lower=True, check_finite=False)
             return CholeskyOutcome(CholeskyStatus.SUCCESS, L, jitter, tag)
         except np.linalg.LinAlgError:
             pass

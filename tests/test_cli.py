@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -90,13 +93,25 @@ def test_load_csv_errors_name_the_line(tmp_path):
     short.write_text("x1,x2,y\n1.0,2.0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_csv(str(short))
+    # a record spanning several physical lines is numbered by the line it starts on
+    for name, text, line in (
+        ("header2.csv", '"x1\n",y\n1,2\nfoo,3\n', 4),
+        ("quoted.csv", 'x1,y\n"1\n",2\nfoo,3\n', 4),
+        ("badquoted.csv", 'x1,y\n1,2\n"foo\n",3\n4,5\n', 3),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(cli.UsageError, match=f"line {line}: non-numeric value"):
+            load_csv(str(path))
     # a blank first line leaves an empty header; a quoted field past the csv
     # module's field limit sends loadtxt to the fallback, which must not crash
     blank = tmp_path / "blank.csv"
     blank.write_text("\nx1,y\n1,2\n")
     huge = tmp_path / "huge.csv"
     huge.write_text('x1,y\n1,2\n"' + "1" * 140_000 + '",2\n')
-    for path, message in ((blank, "header must be"), (huge, "line 3")):
+    huge_late = tmp_path / "huge_late.csv"
+    huge_late.write_text('"x1\n",y\n"1\n",2\n"' + "1" * 140_000 + '",2\n')
+    for path, message in ((blank, "header must be"), (huge, "line 3"), (huge_late, "line 5")):
         with pytest.raises(cli.UsageError, match=message):
             load_csv(str(path))
         out = tmp_path / "z.json"
@@ -610,3 +625,43 @@ def test_tables_have_provenance_and_are_reproducible(tmp_path):
     with open(str(out1) + ".config.json") as fh:
         sidecar = json.load(fh)
     assert sidecar["config"]["trials"] == 3
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of code run by a new interpreter that imports this stablegp."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+
+
+def test_commands_start_without_deferred_scipy_modules():
+    # Every select, fit and predict is a new process, and these modules took
+    # most of its start-up; only query_grid and lambda_max_bound need them.
+    loaded = _fresh_python(f"import stablegp, stablegp.cli, sys; print([m for m in {_DEFERRED!r} if m in sys.modules])")
+    assert loaded.strip() == "[]"
+    kernel = Kernel(Family.MATERN32, 1.0, np.array([0.7, 1.3]))
+    out = _fresh_python(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from stablegp import Family, Kernel, decay_envelope, lambda_max_bound\n"
+        "from stablegp.cli import query_grid\n"
+        "grid = query_grid(2, np.array([-1.0, 0.0]), np.array([1.0, 3.0]))\n"
+        "bound = lambda_max_bound(decay_envelope(Kernel(Family.MATERN32, 1.0, np.array([0.7, 1.3]))), 0.4, 2)\n"
+        f"print(json.dumps([grid.tolist(), bound, [m in sys.modules for m in {_DEFERRED!r}]]))\n"
+    )
+    grid, bound, loaded = json.loads(out)
+    assert np.array_equal(grid, cli.query_grid(2, np.array([-1.0, 0.0]), np.array([1.0, 3.0])))
+    assert bound == lambda_max_bound(decay_envelope(kernel), 0.4, 2)
+    assert loaded == [True, True, True]
