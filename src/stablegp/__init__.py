@@ -23,7 +23,6 @@ from .diagnostics import (
     StabilityReport,
     cg_iteration_bound,
     cond_bound_with_noise,
-    gershgorin_bounds,
     kms_cond_bounds,
     lambda_max_bound,
     stability_report,
@@ -41,8 +40,6 @@ from .kernels import (
 from .linalg import (
     CGReport,
     CholeskyOutcome,
-    CholeskyStatus,
-    JitterPolicy,
     NumericalFailure,
     SpectrumSummary,
     cg_multi,
@@ -75,10 +72,10 @@ __all__ = [
     "ClusterAssignment", "CoverTree", "InducingSet", "build", "cluster_assign",
     "inducing_points", "select_kmeans", "select_uniform", "separation", "spatial_resolution",
     "KmsCondBounds", "StabilityReport", "cg_iteration_bound", "cond_bound_with_noise",
-    "gershgorin_bounds", "kms_cond_bounds", "lambda_max_bound", "stability_report",
+    "kms_cond_bounds", "lambda_max_bound", "stability_report",
     "DecayEnvelope", "Family", "Kernel", "decay_envelope", "eval_kernel", "gram",
     "gram_gradients", "kms_matrix",
-    "CGReport", "CholeskyOutcome", "CholeskyStatus", "JitterPolicy", "NumericalFailure",
+    "CGReport", "CholeskyOutcome", "NumericalFailure",
     "SpectrumSummary", "cg_multi", "cho_solve", "cholesky", "cholesky_stability_predicate",
     "conjugate_gradient", "hutchinson_trace", "spectrum", "wasserstein2_gaussians",
     "ClusteredModel", "Dataset", "ExactGP", "GaussianBelief", "TrainConfig", "TrainResult",

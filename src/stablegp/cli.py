@@ -114,6 +114,9 @@ def _read_header(fh) -> tuple[list, int]:
 # counts the ASCII information separators; float rejects them.
 _INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
+# Characters decoded at a time while the data rows are scanned for them.
+_SCAN_CHUNK = 1 << 20
+
 
 def _loadtxt_rows(fh, width: int, skiprows: int) -> Optional[np.ndarray]:
     """The rows of fh after its first skiprows lines in one loadtxt call, or
@@ -123,14 +126,14 @@ def _loadtxt_rows(fh, width: int, skiprows: int) -> Optional[np.ndarray]:
     given the handle it would iterate it line by line in Python.  It opens the
     path with fh's encoding, and its universal newlines end a line wherever
     fh's newline="" mode does, so its first skiprows lines are the header.
-    The rest of fh is decoded here first, so a decode error, like an
-    information separator, leaves the rows to _checked_rows.
+    The rest of fh is decoded here first, _SCAN_CHUNK characters at a time,
+    so a decode error, like an information separator, leaves the rows to
+    _checked_rows.
     """
     try:
-        rest = fh.read()
-        if any(c in rest for c in _INFO_SEPARATORS):
-            return None
-        del rest
+        for chunk in iter(lambda: fh.read(_SCAN_CHUNK), ""):
+            if any(c in chunk for c in _INFO_SEPARATORS):
+                return None
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # numpy's loader downloads a path that parses as a URL, which an
@@ -468,6 +471,10 @@ def cmd_fit(args) -> int:
         raise UsageError("--sigma2 must be positive")
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
+    if args.batch < 1:
+        raise UsageError("--batch must be >= 1")
+    if args.probes < 1:
+        raise UsageError("--probes must be >= 1")
     model = fit_clustered(data, z, kernel, args.sigma2)
     history = []
     if args.steps > 0:

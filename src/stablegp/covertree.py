@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "CoverTreeNode",
@@ -97,7 +96,6 @@ def _cross_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 @dataclass
 class CoverTreeNode:
     location: np.ndarray
-    level: int
     parent: Optional[int]  # index within the previous level; None for root
     children: list[int] = field(default_factory=list)
     r_neighbors: list[int] = field(default_factory=list)
@@ -118,33 +116,6 @@ class CoverTree:
 
     def level_locations(self, level: int) -> np.ndarray:
         return np.vstack([node.location for node in self.levels[level]])
-
-    def to_json(self) -> dict:
-        nodes = []
-        for level in self.levels:
-            for idx, node in enumerate(level):
-                nodes.append(
-                    {
-                        "level": node.level,
-                        "index": idx,
-                        "location": node.location.tolist(),
-                        "parent": node.parent,
-                        "children": list(node.children),
-                        "r_neighbors": list(node.r_neighbors),
-                        "assigned": node.assigned.tolist(),
-                    }
-                )
-        return {
-            "epsilon": self.epsilon,
-            "d_max": self.d_max,
-            "L": self.L,
-            "radii": list(self.radii),
-            "neighbor_radii": list(self.neighbor_radii),
-            "seed": self.seed,
-            "lloyd_averaging": self.lloyd_averaging,
-            "voronoi_repartition": self.voronoi_repartition,
-            "nodes": nodes,
-        }
 
 
 @dataclass(frozen=True)
@@ -237,7 +208,7 @@ def build(
     # every node able to compete with a new child (within 2.5 R_(ell-1)).
     neighbor_radii = [4.0 * radii[ell] for ell in range(L + 1)]
 
-    root = CoverTreeNode(location=root_loc, level=0, parent=None, r_neighbors=[0], assigned=np.arange(n))
+    root = CoverTreeNode(location=root_loc, parent=None, r_neighbors=[0], assigned=np.arange(n))
     levels = [[root]]
 
     for ell in range(1, L + 1):
@@ -251,7 +222,6 @@ def build(
         # R of it: none of its points can be claimed by the new node, and none
         # has the new node as its nearest (each point has a node within R).
         reach = 3.0 * R * (1.0 + _PRUNE_SLACK)
-        children_of: list[list[int]] = [[] for _ in prev]
         new_nodes: list[CoverTreeNode] = []
         # Every node claims at least its seed point, so a level has at most n.
         locs = np.empty((n, dim))
@@ -264,7 +234,7 @@ def build(
                 if lloyd_averaging:
                     near = _cross_distances(X.take(pool, axis=0), zeta[None, :])[:, 0] <= R
                     zeta_avg = X.take(pool[near], axis=0).mean(axis=0)
-                    cand_ids = [c for r in parent.r_neighbors for c in children_of[r]]
+                    cand_ids = [c for r in parent.r_neighbors for c in prev[r].children]
                     ok_separated = True
                     if cand_ids:
                         cand_locs = locs.take(cand_ids, axis=0)
@@ -293,9 +263,8 @@ def build(
                     start = stop
                 c = len(new_nodes)
                 assigned = np.sort(cat[within])
-                new_nodes.append(CoverTreeNode(location=node_loc, level=ell, parent=p, assigned=assigned))
+                new_nodes.append(CoverTreeNode(location=node_loc, parent=p, assigned=assigned))
                 locs[c] = node_loc
-                children_of[p].append(c)
                 parent.children.append(c)
 
         locs = locs[: len(new_nodes)]
@@ -303,12 +272,12 @@ def build(
         # enough; within that candidate set, keep those inside the radius.
         # Siblings share the candidate set, so each parent takes one call.
         cands: list[np.ndarray] = []
-        for p, parent in enumerate(prev):
-            cand = np.array(sorted(c for r in parent.r_neighbors for c in children_of[r]), dtype=int)
+        for parent in prev:
+            cand = np.array(sorted(c for r in parent.r_neighbors for c in prev[r].children), dtype=int)
             cands.append(cand)
-            if children_of[p]:
-                d = _cross_distances(locs.take(children_of[p], axis=0), locs.take(cand, axis=0))
-                for c, row in zip(children_of[p], d <= neighbor_radii[ell]):
+            if parent.children:
+                d = _cross_distances(locs.take(parent.children, axis=0), locs.take(cand, axis=0))
+                for c, row in zip(parent.children, d <= neighbor_radii[ell]):
                     new_nodes[c].r_neighbors = cand[row].tolist()
 
         if voronoi_repartition:
@@ -349,8 +318,8 @@ def _degenerate_tree(X, epsilon, d_max, root_loc, seed, lloyd, voronoi) -> Cover
     L = 1
     radii = [math.ldexp(epsilon, 1), epsilon]
     neighbor_radii = [4.0 * radii[0], 4.0 * radii[1]]
-    root = CoverTreeNode(location=root_loc, level=0, parent=None, children=[0], r_neighbors=[0], assigned=np.arange(n))
-    only = CoverTreeNode(location=root_loc.copy(), level=1, parent=0, r_neighbors=[0], assigned=np.arange(n))
+    root = CoverTreeNode(location=root_loc, parent=None, children=[0], r_neighbors=[0], assigned=np.arange(n))
+    only = CoverTreeNode(location=root_loc.copy(), parent=0, r_neighbors=[0], assigned=np.arange(n))
     return CoverTree(
         epsilon=epsilon,
         d_max=d_max,
@@ -407,6 +376,8 @@ def _nearest(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if P.shape[0] == 1:
         labels = np.zeros(X.shape[0], dtype=int)
     else:
+        from scipy.spatial import cKDTree  # deferred: predict never needs it, and it slows start-up
+
         dist, idx = cKDTree(P).query(X, k=2)
         labels = idx[:, 0].copy()
         (undecided,) = np.nonzero(~(dist[:, 1] > dist[:, 0] * (1.0 + _PRUNE_SLACK)))

@@ -2,9 +2,9 @@
 
 Calculators for the packing-argument eigenvalue bound of separated point
 sets, the derived condition-number bound once diagonal noise is added,
-Gershgorin intervals, the closed-form condition bracket of the
-exponential-kernel grid matrix, and the conjugate-gradient iteration
-bound.  stability_report composes them for a fitted clustered model.
+the closed-form condition bracket of the exponential-kernel grid matrix,
+and the conjugate-gradient iteration bound.  stability_report composes
+them for a fitted clustered model.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "KmsCondBounds",
     "lambda_max_bound",
     "cond_bound_with_noise",
-    "gershgorin_bounds",
     "kms_cond_bounds",
     "cg_iteration_bound",
     "stability_report",
@@ -95,14 +94,6 @@ def cond_bound_with_noise(lambda_max_bound: float, lambda_diag) -> float:
     if lam.size == 0 or not (lam > 0.0).all():
         raise ValueError("all Lambda entries must be positive")
     return (lambda_max_bound + float(lam.max())) / float(lam.min())
-
-
-def gershgorin_bounds(A: np.ndarray) -> dict:
-    """Disc bounds on the spectrum: {upper, lower} from rows of A."""
-    A = np.asarray(A, dtype=float)
-    diag = np.diag(A)
-    radii = np.abs(A).sum(axis=1) - np.abs(diag)
-    return {"upper": float((diag + radii).max()), "lower": float((diag - radii).min())}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Conditioning-aware dense linear algebra.
 
-Cholesky with jitter escalation and failure-as-value, conjugate gradients
-with iteration accounting, spectrum/condition estimation, Hutchinson trace
-estimation, and the closed-form 2-Wasserstein distance between Gaussians.
+Cholesky with jitter escalation that returns a factor or raises
+NumericalFailure, conjugate gradients with iteration accounting,
+spectrum/condition estimation, Hutchinson trace estimation, and the
+closed-form 2-Wasserstein distance between Gaussians.
 
 Every factorization and solve performed through this module is appended to
 SOLVE_LOG (kind, tag, n and, for cho_solve and cg_multi, the number of
@@ -22,12 +23,10 @@ from scipy import linalg as sla
 
 __all__ = [
     "NumericalFailure",
-    "CholeskyStatus",
     "CholeskyOutcome",
     "CGReport",
     "SpectrumMethod",
     "SpectrumSummary",
-    "JitterPolicy",
     "SOLVE_LOG",
     "reset_solve_log",
     "cholesky",
@@ -41,6 +40,13 @@ __all__ = [
 ]
 
 CG_DEFAULT_TOL = 1e-8
+
+# Jitter schedule of cholesky(jitter=True), relative to s, the mean diagonal
+# of the matrix (1 when that is not positive): after A itself fails, A + j I
+# is tried for j = 1e-6 s, growing tenfold while j <= 1e-2 s.
+_JITTER_FIRST = 1e-6
+_JITTER_GROWTH = 10.0
+_JITTER_LAST = 1e-2
 
 
 class NumericalFailure(RuntimeError):
@@ -57,15 +63,9 @@ def reset_solve_log() -> None:
     SOLVE_LOG.clear()
 
 
-class CholeskyStatus(str, Enum):
-    SUCCESS = "Success"
-    FAILURE = "Failure"
-
-
 @dataclass(frozen=True)
 class CholeskyOutcome:
-    status: CholeskyStatus
-    factor: Optional[np.ndarray]  # lower triangular on success
+    factor: np.ndarray  # lower triangular
     jitter_used: float
     tag: str = ""  # the label given to cholesky(), carried into cho_solve's log entries
 
@@ -91,21 +91,6 @@ class SpectrumSummary:
     method: SpectrumMethod
 
 
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Escalation schedule for Cholesky jitter, relative amounts are absolute."""
-
-    initial: float
-    factor: float = 10.0
-    max: float = math.inf
-
-    @staticmethod
-    def default_for(A: np.ndarray) -> "JitterPolicy":
-        mean_diag = float(np.mean(np.diag(A)))
-        scale = mean_diag if mean_diag > 0.0 else 1.0
-        return JitterPolicy(initial=1e-6 * scale, factor=10.0, max=1e-2 * scale)
-
-
 def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -119,36 +104,42 @@ def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     return A
 
 
-def cholesky(A: np.ndarray, jitter_policy: Optional[JitterPolicy] = None, tag: str = "") -> CholeskyOutcome:
-    """Lower Cholesky factor of A, escalating diagonal jitter on failure.
+def _shifts(A: np.ndarray, jitter: bool):
+    """The diagonal shifts cholesky tries, in order: 0, then with jitter the schedule."""
+    yield 0.0
+    if not jitter:
+        return
+    mean_diag = float(np.mean(np.diag(A)))
+    scale = mean_diag if mean_diag > 0.0 else 1.0
+    shift, last = _JITTER_FIRST * scale, _JITTER_LAST * scale
+    while 0.0 < shift <= last and math.isfinite(shift):
+        yield shift
+        shift *= _JITTER_GROWTH
 
-    Tries jitter 0 first, then policy.initial escalating geometrically by
-    policy.factor until policy.max.  A failed escalation is returned as a
-    Failure value, not raised.
+
+def cholesky(A: np.ndarray, jitter: bool = True, tag: str = "") -> CholeskyOutcome:
+    """Lower Cholesky factor of A, or NumericalFailure.
+
+    Tries A itself first.  With jitter, each failure retries A + j I with the
+    next shift of the module's schedule (1e-6 to 1e-2 times the mean
+    diagonal); without it, the first failure raises.  The error names the
+    tag, n and the largest jitter tried.
     """
     A = _check_symmetric(A)
-    if jitter_policy is None:
-        jitter_policy = JitterPolicy.default_for(A)
-    SOLVE_LOG.append({"kind": "cholesky", "tag": tag, "n": A.shape[0]})
-    jitter = 0.0
-    while True:
+    n = A.shape[0]
+    SOLVE_LOG.append({"kind": "cholesky", "tag": tag, "n": n})
+    tried = 0.0
+    for shift in _shifts(A, jitter):
         try:
-            L = sla.cholesky(A if jitter == 0.0 else A + jitter * np.eye(A.shape[0]), lower=True, check_finite=False)
-            return CholeskyOutcome(CholeskyStatus.SUCCESS, L, jitter, tag)
+            L = sla.cholesky(A if shift == 0.0 else A + shift * np.eye(n), lower=True, check_finite=False)
+            return CholeskyOutcome(L, shift, tag)
         except np.linalg.LinAlgError:
-            pass
-        if jitter == 0.0:
-            jitter = jitter_policy.initial
-        else:
-            jitter *= jitter_policy.factor
-        if jitter > jitter_policy.max or jitter <= 0.0 or not math.isfinite(jitter):
-            return CholeskyOutcome(CholeskyStatus.FAILURE, None, 0.0, tag)
+            tried = shift
+    raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}, largest jitter tried {tried:.3g}")
 
 
 def cho_solve(outcome: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = B given a successful factorization."""
-    if outcome.status is not CholeskyStatus.SUCCESS:
-        raise ValueError("cannot solve with a failed Cholesky factorization")
+    """Solve (L L^T) x = B given a factorization."""
     rhs = 1 if np.ndim(B) == 1 else np.shape(B)[1]
     SOLVE_LOG.append({"kind": "cho_solve", "tag": outcome.tag, "n": outcome.factor.shape[0], "rhs": rhs})
     return sla.cho_solve((outcome.factor, True), B, check_finite=False)

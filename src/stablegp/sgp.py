@@ -9,7 +9,9 @@ inducing point, and every linear solve it performs is against
 K_zz + Lambda, never against K_zz alone.  Separation bounds the condition
 number of that matrix, so it is factored once per model or training step
 by a plain Cholesky with no jitter (shifted_gram), and every solve goes
-through that factor.  The training loop optimizes kernel hyperparameters
+through that factor.  The exact and baseline posteriors factor with the
+jitter schedule of linalg.cholesky; any factorization that fails raises
+NumericalFailure.  The training loop optimizes kernel hyperparameters
 and the noise by stochastic first-order steps with analytic gradients; the
 trace terms of those gradients can be estimated with Hutchinson probes.
 """
@@ -26,14 +28,7 @@ from scipy.linalg import solve_triangular
 
 from .covertree import InducingSet, cluster_assign
 from .kernels import Kernel, gram, gram_gradients
-from .linalg import (
-    CholeskyOutcome,
-    CholeskyStatus,
-    JitterPolicy,
-    NumericalFailure,
-    cho_solve,
-    cholesky,
-)
+from .linalg import CholeskyOutcome, NumericalFailure, cho_solve, cholesky
 
 __all__ = [
     "Dataset",
@@ -177,14 +172,7 @@ class GaussianBelief:
     mean: np.ndarray
     var: np.ndarray
     cov: Optional[np.ndarray]
-    query_points: np.ndarray
     jitter_used: float = 0.0
-
-
-def _require_success(outcome: CholeskyOutcome, what: str) -> CholeskyOutcome:
-    if outcome.status is not CholeskyStatus.SUCCESS:
-        raise NumericalFailure(f"Cholesky factorization failed for {what} after jitter escalation")
-    return outcome
 
 
 def exact_posterior(model: ExactGP, query) -> GaussianBelief:
@@ -193,17 +181,17 @@ def exact_posterior(model: ExactGP, query) -> GaussianBelief:
     k = model.kernel
     K_qq = gram(k, Q)
     if model.X.shape[0] == 0:
-        return GaussianBelief(np.zeros(Q.shape[0]), np.diag(K_qq).copy(), K_qq, Q)
+        return GaussianBelief(np.zeros(Q.shape[0]), np.diag(K_qq).copy(), K_qq)
     A = gram(k, model.X)
     A[np.diag_indices_from(A)] += model.noise_sigma2
-    out = _require_success(cholesky(A, tag="kxx_plus_noise"), "K_xx + sigma^2 I")
+    out = cholesky(A, tag="kxx_plus_noise")
     K_xq = gram(k, model.X, Q)
     alpha = cho_solve(out, model.y)
     S = cho_solve(out, K_xq)
     mean = K_xq.T @ alpha
     cov = K_qq - K_xq.T @ S
     cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, np.diag(cov).copy(), cov, Q, jitter_used=out.jitter_used)
+    return GaussianBelief(mean, np.diag(cov).copy(), cov, jitter_used=out.jitter_used)
 
 
 def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> GaussianBelief:
@@ -211,25 +199,25 @@ def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> 
 
     This baseline substitutes the analytically optimal q(u), which requires
     solving against K_zz itself; that is exactly the step the clustered
-    approximation avoids, and the reason this path carries a jitter policy.
+    approximation avoids, and the reason this path factors with jitter.
     """
     Q = _as_matrix(query)
     Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
     k = model.kernel
     sigma2 = model.noise_sigma2
     K_zz = gram(k, Z)
-    out = _require_success(cholesky(K_zz, tag="kzz_sgpr"), "K_zz")
+    out = cholesky(K_zz, tag="kzz_sgpr")
     L = out.factor
     A = solve_triangular(L, gram(k, Z, model.X), lower=True, check_finite=False)
     B = np.eye(Z.shape[0]) + (A @ A.T) / sigma2
-    out_b = _require_success(cholesky(B, tag="sgpr_inner"), "I + A A^T / sigma^2")
+    out_b = cholesky(B, tag="sgpr_inner")
     C = solve_triangular(L, gram(k, Z, Q), lower=True, check_finite=False)
     Ay = A @ model.y
     mean = C.T @ cho_solve(out_b, Ay) / sigma2
     K_qq = gram(k, Q)
     cov = K_qq - C.T @ C + C.T @ cho_solve(out_b, C)
     cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, np.diag(cov).copy(), cov, Q, jitter_used=out.jitter_used)
+    return GaussianBelief(mean, np.diag(cov).copy(), cov, jitter_used=out.jitter_used)
 
 
 def fit_clustered(
@@ -269,10 +257,7 @@ def shifted_gram(
     """
     A = gram(model.kernel, model.z) if K is None else K.copy()
     A[np.diag_indices_from(A)] += model.lam
-    out = cholesky(A, JitterPolicy(initial=0.0), tag="kzz_plus_lambda")
-    if out.status is not CholeskyStatus.SUCCESS:
-        raise NumericalFailure("Cholesky factorization of K_zz + Lambda failed with no jitter")
-    return A, out
+    return A, cholesky(A, jitter=False, tag="kzz_plus_lambda")
 
 
 def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
@@ -304,7 +289,7 @@ def clustered_posterior(model: ClusteredModel, query, full_cov: bool = True) -> 
         mean = K_zq.T @ v
         cov = gram(model.kernel, Q) - K_zq.T @ S
         cov = (cov + cov.T) / 2.0
-        return GaussianBelief(mean, np.diag(cov).copy(), cov, Q)
+        return GaussianBelief(mean, np.diag(cov).copy(), cov)
     v = _solve(A, out, model.u)
     mean = np.empty(Q.shape[0])
     var = np.empty(Q.shape[0])
@@ -315,7 +300,7 @@ def clustered_posterior(model: ClusteredModel, query, full_cov: bool = True) -> 
         mean[block] = K_zq.T @ v
         # k(x, x) = variance for every family, since each profile is 1 at 0
         var[block] = model.kernel.variance - np.einsum("mq,mq->q", K_zq, S)
-    return GaussianBelief(mean, var, None, Q)
+    return GaussianBelief(mean, var, None)
 
 
 def _trace_probes(m: int, probes: Optional[int], seed):
@@ -496,5 +481,4 @@ def sample_prior(kernel: Kernel, X, seed: int) -> np.ndarray:
         raise ValueError("sample_prior is limited to 5000 points")
     K = gram(kernel, X)
     K[np.diag_indices_from(K)] += 1e-10
-    out = _require_success(cholesky(K, tag="prior_sample"), "K_xx + 1e-10 I")
-    return out.factor @ np.random.default_rng(seed).standard_normal(n)
+    return cholesky(K, tag="prior_sample").factor @ np.random.default_rng(seed).standard_normal(n)

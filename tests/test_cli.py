@@ -16,6 +16,7 @@ from stablegp import (
     Family,
     Kernel,
     build,
+    cluster_assign,
     clustered_posterior,
     cond_bound_with_noise,
     decay_envelope,
@@ -183,10 +184,16 @@ def test_load_csv_fast_and_slow_paths_agree(tmp_path, monkeypatch):
         assert _bit_equal(fast, slow), name
         assert not isinstance(fast[0], type), name
         assert kept == (name not in slow_only), name
-    # Bytes that are not UTF-8, in the header's chunk and past it: the data
-    # rows are decoded before loadtxt runs, so both paths raise the same error.
+    # Bytes that are not UTF-8, in the header's chunk, past it, and past the
+    # first _SCAN_CHUNK characters of the rows: the data rows are decoded
+    # before loadtxt runs, so both paths raise the same error.
     rows = "".join(f"{i},{i / 7!r}\n" for i in range(2000)).encode()
-    for name, data in (("latin1_head.csv", b"x1,y\n1,\xe92\n"), ("latin1_tail.csv", b"x1,y\n" + rows + b"3,\xff\n")):
+    bad = (
+        ("latin1_head.csv", b"x1,y\n1,\xe92\n"),
+        ("latin1_tail.csv", b"x1,y\n" + rows + b"3,\xff\n"),
+        ("latin1_late_chunk.csv", b"x1,y\n" + b"1,2\n" * (cli._SCAN_CHUNK // 4 + 1) + b"3,\xff\n"),
+    )
+    for name, data in bad:
         (tmp_path / name).write_bytes(data)
         fast, slow, kept = _load_both_ways(monkeypatch, tmp_path / name)
         assert fast == slow and fast[0] is UnicodeDecodeError and not kept, name
@@ -208,6 +215,10 @@ def test_load_csv_fast_and_slow_paths_agree(tmp_path, monkeypatch):
         ("x1,x2,y\n1,2,3\n4,5\n6,7,8\n", 3),
         ("x1,x2,y\n1,2\n3,4\n5,6\n", 2),  # every row narrower: loadtxt returns 2 columns
         ("x1,y\n1,2\n3\x1c,4\n", 3),  # loadtxt strips the separator, float does not
+        pytest.param(  # the same separator, past the first chunk of the scan
+            "x1,y\n" + "1,2\n" * (cli._SCAN_CHUNK // 4 + 1) + "3\x1c,4\n", cli._SCAN_CHUNK // 4 + 3,
+            id="separator-past-first-chunk",
+        ),
     ],
 )
 def test_load_csv_fast_path_rejects_what_slow_path_rejects(tmp_path, monkeypatch, text, line):
@@ -378,12 +389,19 @@ def test_fit_deterministic_under_seed(tmp_path, small_csv, kernel_json):
 
 def test_fit_rejects_empty_batch_and_negative_steps(tmp_path, small_csv, kernel_json, capsys):
     z_path, _ = fit_files(tmp_path, small_csv, kernel_json)
-    for extra in (["--steps", "1", "--batch", "0"], ["--steps", "-2"]):
+    # --batch and --probes are checked even when no training step runs
+    for extra, flag in (
+        (["--steps", "1", "--batch", "0"], "--batch"),
+        (["--steps", "-2"], "--steps"),
+        (["--steps", "0", "--batch", "0"], "--batch"),
+        (["--steps", "0", "--probes", "0"], "--probes"),
+    ):
         out = tmp_path / "rejected.json"
         args = ["fit", str(small_csv), str(z_path), str(kernel_json), "--out", str(out)] + extra
         assert main(args) == EXIT_USAGE
         assert not out.exists()
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err, extra
 
 
 def test_fit_training_log_mostly_nonincreasing(tmp_path, kernel_json):
@@ -643,25 +661,31 @@ def _fresh_python(code: str) -> str:
     return done.stdout
 
 
-_DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+_DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial")
 
 
 def test_commands_start_without_deferred_scipy_modules():
     # Every select, fit and predict is a new process, and these modules took
-    # most of its start-up; only query_grid and lambda_max_bound need them.
+    # most of its start-up; only query_grid, lambda_max_bound and the k-d tree
+    # behind cluster_assign need them.
     loaded = _fresh_python(f"import stablegp, stablegp.cli, sys; print([m for m in {_DEFERRED!r} if m in sys.modules])")
     assert loaded.strip() == "[]"
     kernel = Kernel(Family.MATERN32, 1.0, np.array([0.7, 1.3]))
+    X = np.random.default_rng(4).normal(size=(300, 2))
     out = _fresh_python(
         "import json, sys\n"
         "import numpy as np\n"
-        "from stablegp import Family, Kernel, decay_envelope, lambda_max_bound\n"
+        "from stablegp import Family, Kernel, cluster_assign, decay_envelope, lambda_max_bound\n"
         "from stablegp.cli import query_grid\n"
+        "X = np.random.default_rng(4).normal(size=(300, 2))\n"
+        "labels = cluster_assign(X, X[:20]).labels\n"
+        "spatial = 'scipy.spatial' in sys.modules\n"
         "grid = query_grid(2, np.array([-1.0, 0.0]), np.array([1.0, 3.0]))\n"
         "bound = lambda_max_bound(decay_envelope(Kernel(Family.MATERN32, 1.0, np.array([0.7, 1.3]))), 0.4, 2)\n"
-        f"print(json.dumps([grid.tolist(), bound, [m in sys.modules for m in {_DEFERRED!r}]]))\n"
+        f"print(json.dumps([labels.tolist(), spatial, grid.tolist(), bound, [m in sys.modules for m in {_DEFERRED!r}]]))\n"
     )
-    grid, bound, loaded = json.loads(out)
+    labels, spatial, grid, bound, loaded = json.loads(out)
+    assert spatial and labels == cluster_assign(X, X[:20]).labels.tolist()
     assert np.array_equal(grid, cli.query_grid(2, np.array([-1.0, 0.0]), np.array([1.0, 3.0])))
     assert bound == lambda_max_bound(decay_envelope(kernel), 0.4, 2)
-    assert loaded == [True, True, True]
+    assert loaded == [True] * len(_DEFERRED)

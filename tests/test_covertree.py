@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import time
 
@@ -252,17 +251,6 @@ def test_inducing_points_levels_and_range():
         inducing_points(tree, tree.L + 1)
     with pytest.raises(ValueError):
         inducing_points(tree, -1)
-
-
-def test_tree_serializes_to_json():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(50, 2))
-    tree = build(X, epsilon=0.5)
-    payload = json.dumps(tree.to_json())
-    obj = json.loads(payload)
-    assert obj["L"] == tree.L
-    assert len(obj["nodes"]) == sum(len(level) for level in tree.levels)
-    assert all({"level", "location", "parent", "assigned"} <= set(n) for n in obj["nodes"])
 
 
 def test_separation_examples():

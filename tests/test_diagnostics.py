@@ -11,7 +11,6 @@ from stablegp import (
     cond_bound_with_noise,
     conjugate_gradient,
     decay_envelope,
-    gershgorin_bounds,
     gram,
     kms_cond_bounds,
     kms_matrix,
@@ -81,31 +80,6 @@ def test_cond_bound_formula_cases():
     assert cond_bound_with_noise(0.0, np.array([0.2, 0.8])) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         cond_bound_with_noise(1.0, np.array([0.0, 0.5]))
-
-
-def test_gershgorin_diagonal_matrix():
-    got = gershgorin_bounds(np.diag([3.0, 1.0, 2.0]))
-    assert got["upper"] == 3.0
-    assert got["lower"] == 1.0
-
-
-def test_gershgorin_kms_values():
-    # rows of rho^{|i-j|} at rho=0.5, n=3: radii are 0.75, 1.0, 0.75
-    got = gershgorin_bounds(kms_matrix(0.5, 3))
-    assert got["upper"] == pytest.approx(2.0, abs=0.0)
-    assert got["lower"] == pytest.approx(0.0, abs=0.0)
-
-
-def test_gershgorin_upper_dominates_lambda_max():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(2, 30))
-        A = rng.normal(size=(n, n))
-        A = (A + A.T) / 2.0
-        got = gershgorin_bounds(A)
-        eigs = np.linalg.eigvalsh(A)
-        assert eigs[-1] <= got["upper"] + 1e-12
-        assert eigs[0] >= got["lower"] - 1e-12
 
 
 def test_kms_bounds_limit_value():

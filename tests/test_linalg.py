@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from stablegp import (
-    CholeskyStatus,
-    JitterPolicy,
+    NumericalFailure,
     cg_multi,
     cholesky,
     cholesky_stability_predicate,
@@ -16,6 +15,7 @@ from stablegp import (
     wasserstein2_gaussians,
 )
 from stablegp.diagnostics import kms_cond_bounds
+from stablegp import linalg
 from stablegp.linalg import SpectrumMethod, _check_symmetric
 
 
@@ -27,26 +27,55 @@ def random_spd(rng, n, cond):
 
 
 def test_cholesky_identity_no_jitter():
-    out = cholesky(np.eye(7))
-    assert out.status is CholeskyStatus.SUCCESS
-    assert out.jitter_used == 0.0
-    assert np.allclose(out.factor, np.eye(7), atol=0.0)
+    for jitter in (True, False):
+        out = cholesky(np.eye(7), jitter=jitter)
+        assert out.jitter_used == 0.0
+        assert np.allclose(out.factor, np.eye(7), atol=0.0)
 
 
 def test_cholesky_singular_escalates_and_reconstructs():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = cholesky(A, JitterPolicy(initial=1e-6, factor=10.0, max=1e-2))
-    assert out.status is CholeskyStatus.SUCCESS
+    out = cholesky(A)
     assert 0.0 < out.jitter_used <= 1e-2
     rebuilt = out.factor @ out.factor.T
     target = A + out.jitter_used * np.eye(2)
     assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(A)
+    with pytest.raises(NumericalFailure, match="'pair' failed: n=2, largest jitter tried 0$"):
+        cholesky(A, jitter=False, tag="pair")
 
 
-def test_cholesky_failure_is_a_value():
-    out = cholesky(-np.eye(4))
-    assert out.status is CholeskyStatus.FAILURE
-    assert out.factor is None
+def test_cholesky_jitter_schedule(monkeypatch):
+    # Shifts tried: 0, then 1e-6 s growing tenfold up to 1e-2 s, where s is
+    # the mean diagonal, or 1 when that is not positive.
+    tried = []
+
+    def failing(M, **kwargs):
+        tried.append(M[0, 0] - A[0, 0])
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(linalg.sla, "cholesky", failing)
+    for diag, scale in ((4.0, 4.0), (-3.0, 1.0), (0.0, 1.0)):
+        A = np.diag([diag, diag, diag])
+        tried.clear()
+        with pytest.raises(NumericalFailure):
+            cholesky(A)
+        want = [0.0] + [scale * 1e-6 * 10.0**k for k in range(5)]
+        # M[0, 0] - A[0, 0] rounds the shift at the scale of the diagonal
+        assert tried == pytest.approx(want, rel=1e-9, abs=0.0)
+        tried.clear()
+        with pytest.raises(NumericalFailure):
+            cholesky(A, jitter=False)
+        assert tried == [0.0]
+
+
+def test_cholesky_failure_raises_naming_its_tag():
+    for jitter, largest in ((True, "0.01"), (False, "0")):
+        log_size = len(linalg.SOLVE_LOG)
+        with pytest.raises(NumericalFailure) as err:
+            cholesky(-np.eye(4), jitter=jitter, tag="negated")
+        assert str(err.value) == f"Cholesky factorization 'negated' failed: n=4, largest jitter tried {largest}"
+        # the failed attempt is still logged under its tag
+        assert linalg.SOLVE_LOG[log_size:] == [{"kind": "cholesky", "tag": "negated", "n": 4}]
 
 
 def _passes_symmetry_check(A):
@@ -97,7 +126,6 @@ def test_cholesky_reconstruction_on_random_spd():
     for n in (5, 50, 300):
         A = random_spd(rng, n, 1e4)
         out = cholesky(A)
-        assert out.status is CholeskyStatus.SUCCESS
         rebuilt = out.factor @ out.factor.T
         target = A + out.jitter_used * np.eye(n)
         assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(A)
