@@ -475,6 +475,8 @@ def cmd_fit(args) -> int:
         raise UsageError("--batch must be >= 1")
     if args.probes < 1:
         raise UsageError("--probes must be >= 1")
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise UsageError("--lr must be finite and positive")
     model = fit_clustered(data, z, kernel, args.sigma2)
     history = []
     if args.steps > 0:
@@ -556,6 +558,11 @@ def cmd_kms_demo(args) -> int:
 def cmd_datasize_sweep(args) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
+    # n >= 2 leaves the 80/20 split a nonempty test set
+    if min(args.n_list) < 2:
+        raise UsageError("--n-list values must be >= 2")
+    if min(args.m_list) < 1:
+        raise UsageError("--m-list values must be >= 1")
     data = load_csv(args.data)
     kernel = _load_kernel(args.kernel) if args.kernel else default_kernel(data.d)
     rows = datasize_sweep_rows(data, args.n_list, args.m_list, args.methods, kernel, args.sigma2, args.steps, args.seed)

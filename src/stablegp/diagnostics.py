@@ -171,7 +171,6 @@ class StabilityReport:
                 "lambda_max": self.observed.lambda_max,
                 "lambda_min": self.observed.lambda_min,
                 "cond": self.observed.cond,
-                "method": self.observed.method.value,
             },
             "cg_iteration_bound": self.cg_iteration_bound,
             "cholesky_ok_single": self.cholesky_ok_single,

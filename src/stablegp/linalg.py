@@ -1,9 +1,9 @@
 """Conditioning-aware dense linear algebra.
 
 Cholesky with jitter escalation that returns a factor or raises
-NumericalFailure, conjugate gradients with iteration accounting,
-spectrum/condition estimation, Hutchinson trace estimation, and the
-closed-form 2-Wasserstein distance between Gaussians.
+NumericalFailure, conjugate gradients with iteration accounting, exact
+extremal eigenvalues and condition numbers, Hutchinson trace estimation, and
+the closed-form 2-Wasserstein distance between Gaussians.
 
 Every factorization and solve performed through this module is appended to
 SOLVE_LOG (kind, tag, n and, for cho_solve and cg_multi, the number of
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "NumericalFailure",
     "CholeskyOutcome",
     "CGReport",
-    "SpectrumMethod",
     "SpectrumSummary",
     "SOLVE_LOG",
     "reset_solve_log",
@@ -78,17 +76,11 @@ class CGReport:
     converged: bool
 
 
-class SpectrumMethod(str, Enum):
-    EXACT_EIG = "ExactEig"
-    LANCZOS = "Lanczos"
-
-
 @dataclass(frozen=True)
 class SpectrumSummary:
     lambda_max: float
     lambda_min: float
     cond: float
-    method: SpectrumMethod
 
 
 def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
@@ -150,10 +142,9 @@ def conjugate_gradient(
     b: np.ndarray,
     tol: float = CG_DEFAULT_TOL,
     max_iter: Optional[int] = None,
-    x0: Optional[np.ndarray] = None,
     tag: str = "",
 ) -> CGReport:
-    """Conjugate gradients for SPD systems, relative-residual stopping rule.
+    """Conjugate gradients for SPD systems from x0 = 0, relative-residual stopping rule.
 
     Stops as soon as ||b - A x||_2 <= tol * ||b||_2.  Reaching max_iter is
     reported via converged=False; NaN appearing in the iterates is an error.
@@ -165,12 +156,12 @@ def conjugate_gradient(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     SOLVE_LOG.append({"kind": "cg", "tag": tag, "n": n})
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - matvec(x) if x0 is not None else b.copy()
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return CGReport(np.zeros_like(b), 0, 0.0, True)
-    res = float(np.linalg.norm(r))
+    x = np.zeros_like(b)
+    r = b.copy()
+    res = b_norm
     if res <= tol * b_norm:
         return CGReport(x, 0, res, True)
     p = r.copy()
@@ -255,57 +246,18 @@ def cg_multi(
     return X, iters, res
 
 
-def _lanczos_extremes(A: np.ndarray, iters: int = 100, seed: int = 0) -> tuple[float, float]:
-    """Extremal eigenvalue estimates by Lanczos with full reorthogonalization."""
-    n = A.shape[0]
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    m = min(iters, n)
-    Q = np.zeros((n, m))
-    alphas, betas = [], []
-    beta = 0.0
-    q_prev = np.zeros(n)
-    for j in range(m):
-        Q[:, j] = q
-        w = A @ q
-        alpha = float(q @ w)
-        alphas.append(alpha)
-        w = w - alpha * q - beta * q_prev
-        # full reorthogonalization against all previous Lanczos vectors
-        w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-14:
-            break
-        betas.append(beta)
-        q_prev = q
-        q = w / beta
-    T = np.diag(alphas)
-    if betas:
-        off = np.array(betas[: len(alphas) - 1])
-        T += np.diag(off, 1) + np.diag(off, -1)
-    ev = np.linalg.eigvalsh(T)
-    return float(ev[-1]), float(ev[0])
-
-
 def spectrum(A: np.ndarray) -> SpectrumSummary:
     """Extremal eigenvalues and condition number of a symmetric matrix.
 
-    Dense symmetric eigendecomposition up to n = 4096; Lanczos (100 steps,
-    full reorthogonalization) beyond that.  A nonpositive minimum eigenvalue
-    is reported with cond = +inf rather than raised.
+    Dense symmetric eigenvalues (LAPACK via np.linalg.eigvalsh) at every n,
+    so the reported condition number is never under-reported; the cost is
+    O(n^3).  A nonpositive minimum eigenvalue is reported with cond = +inf
+    rather than raised.
     """
-    A = _check_symmetric(A)
-    n = A.shape[0]
-    if n <= 4096:
-        ev = np.linalg.eigvalsh(A)
-        lam_max, lam_min = float(ev[-1]), float(ev[0])
-        method = SpectrumMethod.EXACT_EIG
-    else:
-        lam_max, lam_min = _lanczos_extremes(A)
-        method = SpectrumMethod.LANCZOS
+    ev = np.linalg.eigvalsh(_check_symmetric(A))
+    lam_max, lam_min = float(ev[-1]), float(ev[0])
     cond = lam_max / lam_min if lam_min > 0.0 else math.inf
-    return SpectrumSummary(lam_max, lam_min, cond, method)
+    return SpectrumSummary(lam_max, lam_min, cond)
 
 
 def hutchinson_trace(

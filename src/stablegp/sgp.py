@@ -172,7 +172,6 @@ class GaussianBelief:
     mean: np.ndarray
     var: np.ndarray
     cov: Optional[np.ndarray]
-    jitter_used: float = 0.0
 
 
 def exact_posterior(model: ExactGP, query) -> GaussianBelief:
@@ -191,7 +190,7 @@ def exact_posterior(model: ExactGP, query) -> GaussianBelief:
     mean = K_xq.T @ alpha
     cov = K_qq - K_xq.T @ S
     cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, np.diag(cov).copy(), cov, jitter_used=out.jitter_used)
+    return GaussianBelief(mean, np.diag(cov).copy(), cov)
 
 
 def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> GaussianBelief:
@@ -217,7 +216,7 @@ def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> 
     K_qq = gram(k, Q)
     cov = K_qq - C.T @ C + C.T @ cho_solve(out_b, C)
     cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, np.diag(cov).copy(), cov, jitter_used=out.jitter_used)
+    return GaussianBelief(mean, np.diag(cov).copy(), cov)
 
 
 def fit_clustered(

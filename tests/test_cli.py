@@ -22,7 +22,6 @@ from stablegp import (
     decay_envelope,
     exact_posterior,
     fit_clustered,
-    gram,
     inducing_points,
     lambda_max_bound,
     separation,
@@ -389,12 +388,18 @@ def test_fit_deterministic_under_seed(tmp_path, small_csv, kernel_json):
 
 def test_fit_rejects_empty_batch_and_negative_steps(tmp_path, small_csv, kernel_json, capsys):
     z_path, _ = fit_files(tmp_path, small_csv, kernel_json)
-    # --batch and --probes are checked even when no training step runs
+    # --batch, --probes and --lr are checked even when no training step runs
     for extra, flag in (
         (["--steps", "1", "--batch", "0"], "--batch"),
         (["--steps", "-2"], "--steps"),
         (["--steps", "0", "--batch", "0"], "--batch"),
         (["--steps", "0", "--probes", "0"], "--probes"),
+        (["--steps", "5", "--lr", "-0.5"], "--lr"),
+        (["--steps", "0", "--lr", "-0.5"], "--lr"),
+        (["--steps", "0", "--lr", "0"], "--lr"),
+        (["--steps", "0", "--lr", "inf"], "--lr"),
+        (["--steps", "0", "--lr", "nan"], "--lr"),
+        (["--steps", "1", "--lr", "inf"], "--lr"),
     ):
         out = tmp_path / "rejected.json"
         args = ["fit", str(small_csv), str(z_path), str(kernel_json), "--out", str(out)] + extra
@@ -627,6 +632,37 @@ def test_datasize_sweep_table(tmp_path):
     for m in (20, 80):
         group = sorted((r for r in ok if r["m_requested"] == m), key=lambda r: r["n"])
         assert group[-1]["cond"] <= group[0]["cond"] * 1.05
+
+
+def test_datasize_sweep_rejects_out_of_range_sizes(tmp_path, capsys):
+    data = synthetic_prior_dataset(d=2, n=60, sigma2=0.04, seed=9)
+    path = tmp_path / "geo.csv"
+    write_csv_dataset(str(path), data)
+    out = tmp_path / "table.csv"
+    # n = 1 leaves the 80/20 split no test point; m < 1 asks for no inducing point
+    for n_list, m_list, flag in (
+        (["1"], ["20"], "--n-list"),
+        (["0"], ["20"], "--n-list"),
+        (["-5"], ["20"], "--n-list"),
+        (["40", "1"], ["20"], "--n-list"),
+        (["40"], ["0"], "--m-list"),
+        (["40"], ["-3"], "--m-list"),
+        (["40"], ["20", "0"], "--m-list"),
+    ):
+        args = [
+            "datasize-sweep", str(path), "--n-list", *n_list, "--m-list", *m_list,
+            "--methods", "covertree", "--out", str(out),
+        ]
+        assert main(args) == EXIT_USAGE, (n_list, m_list)
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err, (n_list, m_list)
+    # the smallest accepted sizes give a finite row
+    args = ["datasize-sweep", str(path), "--n-list", "2", "--m-list", "1", "--methods", "covertree", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    _, rows = read_table(str(out))
+    assert [(r["n"], r["status"]) for r in rows] == [(2, "ok")]
+    assert math.isfinite(rows[0]["rmse"])
 
 
 def test_tables_have_provenance_and_are_reproducible(tmp_path):
