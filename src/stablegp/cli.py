@@ -247,11 +247,38 @@ def default_kernel(d: int) -> Kernel:
     return Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.ones(d))
 
 
-def query_grid(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """64-point low-discrepancy grid over the data's bounding box."""
-    from scipy.stats import qmc  # deferred: scipy.stats would slow every command's start-up
+# Joe-Kuo direction numbers m_1..m_6 of the first 8 Sobol dimensions, row j
+# for dimension j + 1, read from scipy.stats' Sobol initialization (whose
+# 30-bit direction numbers are m_k 2^(30-k)).  They cover every choice of
+# sweep-resolution --d.
+_SOBOL_DIRECTIONS = np.array(
+    [
+        [1, 1, 1, 1, 1, 1],
+        [1, 3, 5, 15, 17, 51],
+        [1, 3, 3, 9, 29, 23],
+        [1, 3, 1, 5, 31, 29],
+        [1, 1, 1, 11, 31, 55],
+        [1, 1, 3, 3, 25, 9],
+        [1, 3, 5, 13, 11, 37],
+        [1, 1, 5, 5, 17, 9],
+    ]
+)
 
-    unit = qmc.Sobol(d, scramble=False).random_base2(6)
+
+def query_grid(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """64-point low-discrepancy grid over the data's bounding box.
+
+    The unit points are the first 64 points of the unscrambled Sobol
+    sequence, qmc.Sobol(d, scramble=False).random_base2(6), bit for bit:
+    point i is 2^-6 times the XOR, over the bits k = 0..5 set in the Gray
+    code i ^ (i >> 1), of the direction numbers m_(k+1) 2^(5-k).
+    """
+    if not 1 <= d <= len(_SOBOL_DIRECTIONS):
+        raise ValueError(f"query_grid supports d = 1..{len(_SOBOL_DIRECTIONS)}, got {d}")
+    v = _SOBOL_DIRECTIONS[:d] << np.arange(5, -1, -1)
+    i = np.arange(64)
+    bits = ((i ^ (i >> 1))[:, None] >> np.arange(6)) & 1
+    unit = np.bitwise_xor.reduce(bits[:, :, None] * v.T[None, :, :], axis=1) / 64.0
     return lo + unit * (hi - lo)
 
 

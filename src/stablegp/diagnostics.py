@@ -44,11 +44,14 @@ _MAX_TERMS = 1 << 26
 def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
     """Largest-eigenvalue bound for kernel matrices of delta-separated points.
 
-    psi(0) + sum_{m>=1} ((2m+3)^d - (2m-1)^d) psi(m delta), with the series
-    truncated once the integral-test tail bound drops below 1e-10 of the
-    partial sum.  Valid for any point set in R^d with separation >= delta,
-    and unchanged when the points, delta and the lengthscale are scaled
-    together, since only psi(m delta) carries a length.
+    psi(0) + sum_{m>=1} t(m) with t(u) = ((2u+3)^d - (2u-1)^d) psi(u delta):
+    the terms are summed in chunks, and once a geometric bound on the rest
+    of the series drops below 1e-10 of the partial sum, the partial sum
+    plus that bound is returned.  The result is therefore an upper bound of
+    the whole series, up to the rounding of the sum.  Valid for any point
+    set in R^d with separation >= delta, and unchanged when the points,
+    delta and the lengthscale are scaled together, since only psi(m delta)
+    carries a length.
 
     Proof (a Gershgorin row bound).  K is symmetric, so lambda_max(K) <=
     max_i sum_j |K_ij|.  Fix row i.  The diagonal entry is psi(0).  Any other
@@ -60,6 +63,21 @@ def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
     (m + 3/2) delta around x_i.  Comparing volumes, shell m holds at most
     ((m + 3/2)^d - (m - 1/2)^d) / (1/2)^d = (2m+3)^d - (2m-1)^d points, a
     count free of units.  Summing over the shells bounds the row.
+
+    Proof of the tail bound.  t is log-concave on u >= 1.  Its polynomial
+    factor is d times the integral over s in [-1, 3] of (2u+s)^(d-1); the
+    integrand is log-concave in (u, s) on the convex set u >= 1,
+    -1 <= s <= 3, where 2u+s >= 1, so by Prekopa's theorem its marginal in
+    u is log-concave.  Each envelope profile is log-concave in u as well:
+    exp(-u^2/2), exp(-u), (1 + x) exp(-x) and (1 + x + x^2/3) exp(-x) with
+    x a positive multiple of u (the second derivative of log(1 + x + x^2/3)
+    is -(1/3 + 2x/3 + 2x^2/9) / (1 + x + x^2/3)^2 < 0).  A product of
+    log-concave functions is log-concave, so the ratios t(m+1)/t(m) do not
+    increase with m.  With r = t(m0+1)/t(m0) < 1, every later term obeys
+    t(m0+k) <= t(m0) r^k, and the terms from m0 on sum to at most
+    t(m0) / (1 - r).  A term that underflows to zero ends the sum: the
+    terms had to decrease to reach it, so by the same ratio argument every
+    later term underflows too.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -78,13 +96,13 @@ def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
         series += float(terms.sum())
         m0 += _CHUNK
         partial = head + series
-        # The integral test needs a decreasing integrand from the cut point on.
-        if np.all(np.diff(terms) <= 0.0):
-            from scipy.integrate import quad  # deferred: scipy.integrate would slow every command's start-up
-
-            tail, _ = quad(term, m0 - 0.5, np.inf, limit=200)
+        t0, t1 = term(np.array([m0, m0 + 1], dtype=float)).tolist()
+        if t0 == 0.0:
+            return partial
+        if t1 < t0:
+            tail = t0 / (1.0 - t1 / t0)
             if tail < _TAIL_RTOL * partial:
-                return partial
+                return partial + tail
     raise ValueError("series tail does not decay; envelope decreases too slowly for this bound")
 
 

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from stablegp import (
+    ClusteredModel,
     Dataset,
     ExactGP,
     Family,
     Kernel,
     build,
-    cluster_assign,
     clustered_posterior,
     cond_bound_with_noise,
     decay_envelope,
@@ -27,6 +27,7 @@ from stablegp import (
     separation,
     spatial_resolution,
     spectrum,
+    stability_report,
     wasserstein2_gaussians,
 )
 from stablegp import cli
@@ -584,6 +585,19 @@ def test_sweep_resolution_table(tmp_path, monkeypatch):
         assert row["wasserstein2"] == wasserstein2_gaussians(belief.mean, belief.cov, exact.mean, exact.cov)
 
 
+def test_query_grid_is_the_unscrambled_sobol_grid():
+    from scipy.stats import qmc
+
+    for d in range(1, len(cli._SOBOL_DIRECTIONS) + 1):
+        lo, hi = np.linspace(-3.0, 1.0, d), np.linspace(-1.5, 7.0, d)
+        unit = qmc.Sobol(d, scramble=False).random_base2(6)
+        assert np.array_equal(cli.query_grid(d, np.zeros(d), np.ones(d)), unit)
+        assert np.array_equal(cli.query_grid(d, lo, hi), lo + unit * (hi - lo))
+    for d in (0, len(cli._SOBOL_DIRECTIONS) + 1):
+        with pytest.raises(ValueError):
+            cli.query_grid(d, np.zeros(max(d, 1)), np.ones(max(d, 1)))
+
+
 def test_kms_demo_table(tmp_path):
     out = tmp_path / "kms.csv"
     args = ["kms-demo", "--rho", "0.9", "0.99", "--n", "64", "256", "--trials", "5", "--out", str(out)]
@@ -700,28 +714,35 @@ def _fresh_python(code: str) -> str:
 _DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.spatial")
 
 
-def test_commands_start_without_deferred_scipy_modules():
+def test_commands_start_without_deferred_scipy_modules(tmp_path, small_csv, kernel_json):
     # Every select, fit and predict is a new process, and these modules took
-    # most of its start-up; only query_grid, lambda_max_bound and the k-d tree
-    # behind cluster_assign need them.
+    # most of its start-up.  Only the k-d tree behind cluster_assign needs
+    # scipy.spatial, so it loads on first use; the other three never load,
+    # whichever command runs (together they cost about 1 s and 30 MiB).
     loaded = _fresh_python(f"import stablegp, stablegp.cli, sys; print([m for m in {_DEFERRED!r} if m in sys.modules])")
     assert loaded.strip() == "[]"
-    kernel = Kernel(Family.MATERN32, 1.0, np.array([0.7, 1.3]))
-    X = np.random.default_rng(4).normal(size=(300, 2))
+    d = str(tmp_path)
     out = _fresh_python(
         "import json, sys\n"
-        "import numpy as np\n"
-        "from stablegp import Family, Kernel, cluster_assign, decay_envelope, lambda_max_bound\n"
-        "from stablegp.cli import query_grid\n"
-        "X = np.random.default_rng(4).normal(size=(300, 2))\n"
-        "labels = cluster_assign(X, X[:20]).labels\n"
-        "spatial = 'scipy.spatial' in sys.modules\n"
-        "grid = query_grid(2, np.array([-1.0, 0.0]), np.array([1.0, 3.0]))\n"
-        "bound = lambda_max_bound(decay_envelope(Kernel(Family.MATERN32, 1.0, np.array([0.7, 1.3]))), 0.4, 2)\n"
-        f"print(json.dumps([labels.tolist(), spatial, grid.tolist(), bound, [m in sys.modules for m in {_DEFERRED!r}]]))\n"
+        "from stablegp import ClusteredModel, stability_report\n"
+        "from stablegp.cli import main\n"
+        f"data, kernel, d = {str(small_csv)!r}, {str(kernel_json)!r}, {d!r}\n"
+        "codes = [\n"
+        "    main(['select', data, '--method', 'covertree', '--epsilon', '0.5', '--out', d + '/z.json']),\n"
+        "    main(['fit', data, d + '/z.json', kernel, '--steps', '2', '--batch', '20', '--out', d + '/model.json']),\n"
+        "]\n"
+        "with open(d + '/model.json') as fh:\n"
+        "    report = stability_report(ClusteredModel.from_json(json.load(fh))).to_json()\n"
+        "codes.append(main(['predict', d + '/model.json', data, '--out', d + '/pred.csv']))\n"
+        "codes.append(main(['sweep-resolution', '--d', '1', '2', '--n', '60', '--epsilons', '1.0', '2.0',\n"
+        "                   '--out', d + '/sweep.csv']))\n"
+        f"print(json.dumps([codes, report, [m for m in {_DEFERRED!r} if m in sys.modules]]))\n"
     )
-    labels, spatial, grid, bound, loaded = json.loads(out)
-    assert spatial and labels == cluster_assign(X, X[:20]).labels.tolist()
-    assert np.array_equal(grid, cli.query_grid(2, np.array([-1.0, 0.0]), np.array([1.0, 3.0])))
-    assert bound == lambda_max_bound(decay_envelope(kernel), 0.4, 2)
-    assert loaded == [True] * len(_DEFERRED)
+    codes, report, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [EXIT_OK] * 4
+    assert loaded == ["scipy.spatial"]
+    with open(tmp_path / "model.json") as fh:
+        model = ClusteredModel.from_json(json.load(fh))
+    assert report == json.loads(json.dumps(stability_report(model).to_json()))
+    _, rows = read_table(str(tmp_path / "sweep.csv"))
+    assert [r["status"] for r in rows] == ["ok"] * 4

@@ -92,12 +92,21 @@ def test_guarantees_all_option_combinations():
 
 
 def test_assigned_sets_partition_data_at_every_level():
+    # Each level's assigned sets partition the data, and each lists its
+    # points in index order: the groups a stable sort of the node labels gives.
     rng = np.random.default_rng(3)
-    X = rng.uniform(0.0, 1.0, size=(500, 2))
-    tree = build(X, epsilon=0.05)
-    for level in tree.levels:
-        seen = np.concatenate([node.assigned for node in level])
-        assert np.array_equal(np.sort(seen), np.arange(500))
+    for n, d, eps, voronoi in ((500, 2, 0.05, True), (3000, 2, 0.01, True), (800, 3, 0.1, False), (2000, 1, 1e-4, True)):
+        X = rng.uniform(0.0, 1.0, size=(n, d))
+        tree = build(X, epsilon=eps, voronoi_repartition=voronoi, seed=int(rng.integers(100)))
+        for level in tree.levels:
+            label = np.full(n, -1)
+            for c, node in enumerate(level):
+                label[node.assigned] = c
+            assert sum(node.assigned.size for node in level) == n and (label >= 0).all()
+            order = np.argsort(label, kind="stable")
+            bounds = np.cumsum(np.bincount(label, minlength=len(level)))[:-1]
+            for node, want in zip(level, np.split(order, bounds)):
+                assert np.array_equal(node.assigned, want)
 
 
 def test_assigned_data_within_level_radius():

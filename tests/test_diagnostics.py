@@ -75,6 +75,48 @@ def test_lambda_max_bound_is_independent_of_units():
     assert bounds[2] == pytest.approx(bounds[1], rel=1e-12)
 
 
+def _series_terms(env, delta, d):
+    """Every term t(m) = ((2m+3)^d - (2m-1)^d) psi(m delta), m >= 1, up to the
+    first one that underflows."""
+    blocks, m0 = [], 1
+    while True:
+        u = np.arange(m0, m0 + (1 << 16), dtype=float)
+        t = ((2.0 * u + 3.0) ** d - (2.0 * u - 1.0) ** d) * env(u * delta)
+        blocks.append(t)
+        if t[-1] == 0.0:
+            return np.concatenate(blocks)
+        m0 += 1 << 16
+
+
+def test_lambda_max_bound_brackets_the_whole_series():
+    # The bound adds a proven tail bound of at most 1e-10 of the partial sum,
+    # so it lies between the series, summed by brute force until its terms
+    # underflow, and that sum times 1 + 2e-10.  The lower check allows for
+    # the rounding of the two float sums (a few ulps).
+    for family in Family:
+        env = decay_envelope(Kernel(family, 1.3, np.array([0.7])))
+        for d in (1, 2, 3):
+            for ratio in (5.0, 2.0, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 1e-3):
+                delta = ratio * 0.7
+                brute = math.fsum([1.3] + _series_terms(env, delta, d).tolist())
+                bound = lambda_max_bound(env, delta, d)
+                assert brute * (1.0 - 1e-15) <= bound <= brute * (1.0 + 2e-10), (family, d, ratio)
+
+
+def test_lambda_max_bound_terms_are_log_concave():
+    # The tail bound rests on t(u + h) / t(u) not increasing in u >= 1.
+    for family in Family:
+        env = decay_envelope(Kernel(family, 0.8, np.array([1.1])))
+        for d in (1, 2, 3, 8):
+            for delta in (3.0, 0.4, 0.01):
+                for h in (1.0, 0.37):
+                    u = 1.0 + h * np.arange(20000)
+                    t = ((2.0 * u + 3.0) ** d - (2.0 * u - 1.0) ** d) * env(u * delta)
+                    t = t[t > 1e-280]
+                    ratios = t[1:] / t[:-1]
+                    assert np.all(ratios[1:] <= ratios[:-1] * (1.0 + 1e-12)), (family, d, delta, h)
+
+
 def test_cond_bound_formula_cases():
     assert cond_bound_with_noise(3.0, np.array([0.5, 0.5])) == pytest.approx(7.0)
     assert cond_bound_with_noise(0.0, np.array([0.2, 0.8])) == pytest.approx(4.0)
