@@ -62,7 +62,7 @@ from .sgp import (
     exact_posterior,
     fit_clustered,
     kl_to_prior,
-    sample_prior,
+    sample_targets,
     sgpr_posterior,
     train,
     training_objective,
@@ -80,7 +80,7 @@ __all__ = [
     "conjugate_gradient", "hutchinson_trace", "spectrum", "wasserstein2_gaussians",
     "ClusteredModel", "Dataset", "ExactGP", "GaussianBelief", "TrainConfig", "TrainResult",
     "clustered_posterior", "exact_posterior", "fit_clustered", "kl_to_prior",
-    "sample_prior", "sgpr_posterior", "train", "training_objective",
+    "sample_targets", "sgpr_posterior", "train", "training_objective",
 ]
 
 __version__ = "0.1.0"

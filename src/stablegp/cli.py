@@ -31,12 +31,10 @@ from .linalg import NumericalFailure, conjugate_gradient, spectrum, wasserstein2
 from .sgp import (
     ClusteredModel,
     Dataset,
-    ExactGP,
     TrainConfig,
     clustered_posterior,
-    exact_posterior,
     fit_clustered,
-    sample_prior,
+    sample_targets,
     shifted_gram,
     train,
 )
@@ -282,20 +280,35 @@ def query_grid(d: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + unit * (hi - lo)
 
 
+def _sweep_kernel(d: int) -> Kernel:
+    return Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.full(d, 0.5 * math.sqrt(d)))
+
+
+def _synthetic_problem(d: int, n: int, sigma2: float, seed: int, query=None):
+    """The sweep's data for (d, seed) and, given a query, the exact posterior there.
+
+    X is the first draw of default_rng((seed, d, n)) and the targets are
+    sample_targets at the plain seed, so building the data and its exact
+    posterior takes one Gram and one Cholesky, of K_xx + sigma2 I.
+    """
+    X = np.random.default_rng((seed, d, n)).uniform(-5.0, 5.0, size=(n, d))
+    y, exact = sample_targets(_sweep_kernel(d), sigma2, X, seed, query)
+    return Dataset(X, y), exact
+
+
 def synthetic_prior_dataset(d: int, n: int, sigma2: float, seed: int) -> Dataset:
-    """Inputs uniform on [-5, 5]^d, targets drawn from the default prior plus noise."""
-    rng = np.random.default_rng((seed, d, n))
-    X = rng.uniform(-5.0, 5.0, size=(n, d))
-    kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.full(d, 0.5 * math.sqrt(d)))
-    f = sample_prior(kernel, X, seed=seed)
-    y = f + math.sqrt(sigma2) * rng.standard_normal(n)
-    return Dataset(X, y)
+    """The sweep's dataset for (d, seed): inputs uniform on [-5, 5]^d, targets y ~ N(0, K_xx + sigma2 I).
+
+    y has the law of a draw from the default prior plus N(0, sigma2) noise,
+    drawn from that marginal directly (see sample_targets).
+    """
+    return _synthetic_problem(d, n, sigma2, seed)[0]
 
 
 def sweep_resolution_rows(d_list, n: int, epsilons, seeds, sigma2: float) -> list:
     rows = []
     for d in sorted(d_list):
-        kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.full(d, 0.5 * math.sqrt(d)))
+        kernel = _sweep_kernel(d)
         grid = query_grid(d, np.full(d, -5.0), np.full(d, 5.0))
         for seed in seeds:
             rows.extend(_sweep_seed_rows(d, kernel, grid, n, epsilons, seed, sigma2))
@@ -308,11 +321,10 @@ def _sweep_seed_rows(d: int, kernel: Kernel, grid: np.ndarray, n: int, epsilons,
 
     Everything it builds (dataset, exact posterior, trees, models) is freed
     when it returns, so none of it is still scattered through the heap when
-    the next seed allocates its n x n Gram matrices.
+    the next seed allocates its n x n Gram matrix.
     """
     rows = []
-    data = synthetic_prior_dataset(d, n, sigma2, seed)
-    exact = exact_posterior(ExactGP(kernel, sigma2, data.X, data.y), grid)
+    data, exact = _synthetic_problem(d, n, sigma2, seed, grid)
     # Level j >= 1 of a tree is the tree build gives at radii[j] (see
     # covertree.build), so the finest tree serves every coarser epsilon
     # that is a power-of-two multiple of it.

@@ -83,6 +83,14 @@ def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
         raise ValueError("delta must be positive")
     if d < 1:
         raise ValueError("d must be >= 1")
+    bound = _packing_series(psi, delta, d, math.inf)
+    if bound is None:
+        raise ValueError("series tail does not decay; envelope decreases too slowly for this bound")
+    return bound
+
+
+def _packing_series(psi: DecayEnvelope, delta: float, d: int, cap: float) -> Optional[float]:
+    """The series of lambda_max_bound, or None once a partial sum reaches cap or _MAX_TERMS terms pass."""
     head = float(psi(0.0))
 
     def term(u):
@@ -96,6 +104,8 @@ def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
         series += float(terms.sum())
         m0 += _CHUNK
         partial = head + series
+        if partial >= cap:
+            return None
         t0, t1 = term(np.array([m0, m0 + 1], dtype=float)).tolist()
         if t0 == 0.0:
             return partial
@@ -103,7 +113,7 @@ def lambda_max_bound(psi: DecayEnvelope, delta: float, d: int) -> float:
             tail = t0 / (1.0 - t1 / t0)
             if tail < _TAIL_RTOL * partial:
                 return partial + tail
-    raise ValueError("series tail does not decay; envelope decreases too slowly for this bound")
+    return None
 
 
 def cond_bound_with_noise(lambda_max_bound: float, lambda_diag) -> float:
@@ -200,8 +210,10 @@ def stability_report(model) -> StabilityReport:
     """Bound-vs-observed conditioning summary for a clustered model.
 
     The a priori bounds use the kernel's decay envelope at the measured
-    separation of the inducing set; the observed numbers come from the
-    spectrum of A = K_zz + Lambda.  The CG bound is for solving A v = u, the
+    separation of the inducing set: lambda_max_bound, or M psi(0) where that
+    is smaller or undefined (coinciding points), so the report is finite
+    for any inducing set.  The observed numbers come from the spectrum of
+    A = K_zz + Lambda.  The CG bound is for solving A v = u, the
     inducing mean vector, at the default tolerance; its initial error
     sqrt(u^T A^{-1} u) = ||L^{-1} u|| comes from the zero-jitter Cholesky
     factor L = shifted_gram(model), which raises NumericalFailure if A does
@@ -211,8 +223,14 @@ def stability_report(model) -> StabilityReport:
     """
     psi = decay_envelope(model.kernel)
     delta = separation(model.z)
-    d = model.z.shape[1]
-    c_max = float(psi(0.0)) if math.isinf(delta) else lambda_max_bound(psi, delta, d)
+    # |K_ij| <= psi(0), so every row sum of K_zz, and with it lambda_max, is
+    # at most M psi(0) whatever the separation; the packing series replaces
+    # it when the points are separated and the series sums to less.
+    c_max = model.m * float(psi(0.0))
+    if 0.0 < delta < math.inf:
+        series = _packing_series(psi, delta, model.z.shape[1], c_max)
+        if series is not None:
+            c_max = min(c_max, series)
     cond_bound = cond_bound_with_noise(c_max, model.lam)
 
     A, out = shifted_gram(model)

@@ -11,9 +11,13 @@ number of that matrix, so it is factored once per model or training step
 by a plain Cholesky with no jitter (shifted_gram), and every solve goes
 through that factor.  The exact and baseline posteriors factor with the
 jitter schedule of linalg.cholesky; any factorization that fails raises
-NumericalFailure.  The training loop optimizes kernel hyperparameters
-and the noise by stochastic first-order steps with analytic gradients; the
-trace terms of those gradients can be estimated with Hutchinson probes.
+NumericalFailure.  sample_targets draws synthetic targets from their
+marginal N(0, K_xx + sigma^2 I) through the same factor of that matrix
+that the exact posterior given them uses, so a synthetic problem costs one
+Cholesky, of a matrix the noise keeps well conditioned.  The training loop
+optimizes kernel hyperparameters and the noise by stochastic first-order
+steps with analytic gradients; the trace terms of those gradients can be
+estimated with Hutchinson probes.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = [
     "kl_to_prior",
     "training_objective",
     "train",
-    "sample_prior",
+    "sample_targets",
 ]
 
 # Largest true relative residual accepted from a solve against K_zz + Lambda,
@@ -174,16 +178,17 @@ class GaussianBelief:
     cov: Optional[np.ndarray]
 
 
-def exact_posterior(model: ExactGP, query) -> GaussianBelief:
-    """Dense exact GP posterior at the query points."""
-    Q = _as_matrix(query)
+def _factor_kxx_plus_noise(kernel: Kernel, sigma2: float, X: np.ndarray) -> CholeskyOutcome:
+    """Cholesky factor of K_xx + sigma^2 I, with linalg.cholesky's jitter schedule."""
+    A = gram(kernel, X)
+    A[np.diag_indices_from(A)] += sigma2
+    return cholesky(A, tag="kxx_plus_noise")
+
+
+def _condition(model: ExactGP, out: CholeskyOutcome, Q: np.ndarray) -> GaussianBelief:
+    """Exact posterior at Q given out, the factor of K_xx + sigma^2 I for model's inputs."""
     k = model.kernel
     K_qq = gram(k, Q)
-    if model.X.shape[0] == 0:
-        return GaussianBelief(np.zeros(Q.shape[0]), np.diag(K_qq).copy(), K_qq)
-    A = gram(k, model.X)
-    A[np.diag_indices_from(A)] += model.noise_sigma2
-    out = cholesky(A, tag="kxx_plus_noise")
     K_xq = gram(k, model.X, Q)
     alpha = cho_solve(out, model.y)
     S = cho_solve(out, K_xq)
@@ -191,6 +196,44 @@ def exact_posterior(model: ExactGP, query) -> GaussianBelief:
     cov = K_qq - K_xq.T @ S
     cov = (cov + cov.T) / 2.0
     return GaussianBelief(mean, np.diag(cov).copy(), cov)
+
+
+def exact_posterior(model: ExactGP, query) -> GaussianBelief:
+    """Dense exact GP posterior at the query points.
+
+    Factors K_xx + sigma^2 I once (tag "kxx_plus_noise") and solves through
+    that factor; with no data the belief is the prior.
+    """
+    Q = _as_matrix(query)
+    if model.X.shape[0] == 0:
+        K_qq = gram(model.kernel, Q)
+        return GaussianBelief(np.zeros(Q.shape[0]), np.diag(K_qq).copy(), K_qq)
+    return _condition(model, _factor_kxx_plus_noise(model.kernel, model.noise_sigma2, model.X), Q)
+
+
+def sample_targets(
+    kernel: Kernel, sigma2: float, X, seed, query=None
+) -> tuple[np.ndarray, Optional[GaussianBelief]]:
+    """Targets y ~ N(0, K_xx + sigma^2 I) at X and, given a query, the exact posterior there.
+
+    y = L xi with L L^T = K_xx + sigma^2 I and xi the first n standard
+    normals of np.random.default_rng(seed), so y has the law of f + noise
+    with f ~ GP(0, kernel) and noise ~ N(0, sigma^2 I), and K_xx alone,
+    which can be nearly singular, is never factored.  The posterior solves
+    through the same factor L and is bit-identical to
+    exact_posterior(ExactGP(kernel, sigma2, X, y), query); without a query
+    it is None.  At most 5000 points, to bound the n x n Gram.
+    """
+    if not sigma2 > 0.0:
+        raise ValueError("sigma2 must be positive")
+    X = _as_matrix(X)
+    if X.shape[0] > 5000:
+        raise ValueError("sample_targets is limited to 5000 points")
+    out = _factor_kxx_plus_noise(kernel, sigma2, X)
+    y = out.factor @ np.random.default_rng(seed).standard_normal(X.shape[0])
+    if query is None:
+        return y, None
+    return y, _condition(ExactGP(kernel, sigma2, X, y), out, _as_matrix(query))
 
 
 def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> GaussianBelief:
@@ -470,14 +513,3 @@ def train(model: ClusteredModel, data: Dataset, config: TrainConfig = TrainConfi
     sigma2 = float(theta[-1])
     final = ClusteredModel(kernel, sigma2, model.z, model.u, sigma2 / counts, counts)
     return TrainResult(final, history)
-
-
-def sample_prior(kernel: Kernel, X, seed: int) -> np.ndarray:
-    """One draw from N(0, K_xx + 1e-10 I), deterministic per seed."""
-    X = _as_matrix(X)
-    n = X.shape[0]
-    if n > 5000:
-        raise ValueError("sample_prior is limited to 5000 points")
-    K = gram(kernel, X)
-    K[np.diag_indices_from(K)] += 1e-10
-    return cholesky(K, tag="prior_sample").factor @ np.random.default_rng(seed).standard_normal(n)

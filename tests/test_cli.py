@@ -17,6 +17,7 @@ from stablegp import (
     Family,
     Kernel,
     build,
+    cholesky_stability_predicate,
     clustered_posterior,
     cond_bound_with_noise,
     decay_envelope,
@@ -532,6 +533,22 @@ def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
     assert code == EXIT_NUMERICAL
 
 
+def test_fit_failure_with_nearly_coinciding_inducing_points_exits_numerical(tmp_path, kernel_json):
+    # the first two inducing points are 1e-9 apart and each holds data, so
+    # K_zz + Lambda is singular under a vanishing sigma2 and training fails;
+    # the stability report the failure handler prints must not replace it
+    X = np.array([[-0.1, 0.0], [-0.2, 0.1], [0.1, 0.0], [0.2, -0.1], [1.0, 1.0], [0.9, 1.1]])
+    data_path = tmp_path / "near.csv"
+    write_csv_dataset(str(data_path), Dataset(X, np.array([1.0, 0.8, -1.0, -0.7, 0.5, 0.4])))
+    z_path = tmp_path / "z.json"
+    z_path.write_text(json.dumps({"points": [[0.0, 0.0], [1e-9, 0.0], [1.0, 1.0]], "provenance": {}}))
+    args = [
+        "fit", str(data_path), str(z_path), str(kernel_json),
+        "--sigma2", "1e-30", "--steps", "1", "--batch", "6", "--out", str(tmp_path / "m.json"),
+    ]
+    assert main(args) == EXIT_NUMERICAL
+
+
 # ---------------------------------------------------------------------------
 # sweep tables
 
@@ -583,6 +600,41 @@ def test_sweep_resolution_table(tmp_path, monkeypatch):
         assert row["m"] == model.m
         assert row["cond"] == spectrum(shifted_gram(model)[0]).cond
         assert row["wasserstein2"] == wasserstein2_gaussians(belief.mean, belief.cov, exact.mean, exact.cov)
+
+
+def factored_in_sweep(monkeypatch):
+    """SOLVE_LOG's Cholesky entries and every matrix factored by a small two-d sweep."""
+    from scipy import linalg as sla
+
+    from stablegp import linalg
+
+    matrices = []
+    factor = sla.cholesky
+
+    def recording_cholesky(A, **kwargs):
+        matrices.append(np.array(A))
+        return factor(A, **kwargs)
+
+    monkeypatch.setattr(linalg.sla, "cholesky", recording_cholesky)
+    linalg.reset_solve_log()
+    rows = cli.sweep_resolution_rows(d_list=[1, 2], n=300, epsilons=[0.3, 1.2], seeds=[0], sigma2=0.1)
+    assert all(row["status"] == "ok" for row in rows)
+    return [e for e in linalg.SOLVE_LOG if e["kind"] == "cholesky"], matrices
+
+
+def test_sweep_factors_one_size_n_matrix_per_problem(monkeypatch):
+    logged, _ = factored_in_sweep(monkeypatch)
+    # one (d, seed) problem per d: its K_xx + sigma2 I is the only n x n factorization
+    assert [(e["tag"], e["n"]) for e in logged if e["n"] == 300] == [("kxx_plus_noise", 300)] * 2
+    assert {e["tag"] for e in logged} == {"kxx_plus_noise", "kzz_plus_lambda"}
+
+
+def test_sweep_factors_only_matrices_cholesky_provably_handles(monkeypatch):
+    _, matrices = factored_in_sweep(monkeypatch)
+    assert len(matrices) > 2
+    for A in matrices:
+        cond = spectrum(A).cond
+        assert cholesky_stability_predicate(cond, max(A.shape[0], 11), 52), (A.shape[0], cond)
 
 
 def test_query_grid_is_the_unscrambled_sobol_grid():

@@ -222,3 +222,22 @@ def test_stability_report_deterministic():
     a = stability_report(small_model(4)).to_json()
     b = stability_report(small_model(4)).to_json()
     assert a == b
+
+
+@pytest.mark.parametrize("second", [(0.0, 0.0), (1e-9, 0.0)])
+def test_stability_report_finite_for_coinciding_inducing_points(second):
+    kernel = Kernel(Family.MATERN32, 1.0, np.array([1.0, 1.0]))
+    z = np.array([[0.0, 0.0], second, [1.0, 1.0]])
+    counts = np.array([2, 1, 3])
+    model = ClusteredModel(kernel, 0.1, z, np.array([1.0, -1.0, 0.5]), 0.1 / counts, counts)
+    report = stability_report(model)
+    # the separation gives no usable packing bound, so the count bound M psi(0) holds
+    assert report.lambda_max_bound == 3.0
+    assert report.cond_bound == cond_bound_with_noise(3.0, model.lam)
+    assert report.observed.cond <= report.cond_bound
+    assert report.observed.lambda_max <= report.lambda_max_bound + float(np.max(model.lam))
+    assert math.isfinite(report.cg_iteration_bound)
+    # lambda_max_bound itself still refuses a zero separation
+    if second == (0.0, 0.0):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            lambda_max_bound(decay_envelope(kernel), separation(z), 2)

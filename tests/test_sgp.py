@@ -21,7 +21,7 @@ from stablegp import (
     gram,
     inducing_points,
     kl_to_prior,
-    sample_prior,
+    sample_targets,
     sgpr_posterior,
     train,
     training_objective,
@@ -421,7 +421,7 @@ def test_objective_prefers_true_noise_level():
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.8]))
     X = rng.uniform(-4.0, 4.0, size=(200, 1))
     true_sigma = 0.3
-    y = sample_prior(kernel, X, seed=7) + true_sigma * rng.standard_normal(200)
+    y, _ = sample_targets(kernel, true_sigma**2, X, seed=7)
     data = Dataset(X, y)
     tree = build(X, epsilon=0.3)
     z = inducing_points(tree)
@@ -547,7 +547,7 @@ def test_train_recovers_known_lengthscale():
     rng = np.random.default_rng(53)
     true_kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.5]))
     X = rng.uniform(-5.0, 5.0, size=(500, 1))
-    y = sample_prior(true_kernel, X, seed=11) + 0.1 * rng.standard_normal(500)
+    y, _ = sample_targets(true_kernel, 0.1**2, X, seed=11)
     data = Dataset(X, y)
     tree = build(X, epsilon=0.1)
     start = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.5]))
@@ -558,30 +558,49 @@ def test_train_recovers_known_lengthscale():
 
 
 # ---------------------------------------------------------------------------
-# prior sampling
+# target sampling
 
-def test_sample_prior_deterministic_and_bounded_size():
+def test_sample_targets_deterministic_and_bounded_size():
     kernel = Kernel(Family.MATERN32, 1.0, np.array([1.0]))
     X = np.linspace(0.0, 1.0, 20).reshape(-1, 1)
-    a = sample_prior(kernel, X, seed=4)
-    b = sample_prior(kernel, X, seed=4)
+    a, belief = sample_targets(kernel, 0.1, X, seed=4)
+    b, _ = sample_targets(kernel, 0.1, X, seed=4)
+    assert belief is None
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        sample_prior(kernel, np.zeros((5001, 1)), seed=0)
+        sample_targets(kernel, 0.1, np.zeros((5001, 1)), seed=0)
+    with pytest.raises(ValueError):
+        sample_targets(kernel, 0.0, X, seed=0)
 
 
-def test_sample_prior_single_point_moments():
+def test_sample_targets_single_point_moments():
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 2.5, np.array([1.0]))
+    sigma2 = 0.5
     X = np.array([[0.0]])
-    draws = np.array([sample_prior(kernel, X, seed=s)[0] for s in range(4000)])
+    draws = np.array([sample_targets(kernel, sigma2, X, seed=s)[0][0] for s in range(4000)])
     assert abs(draws.mean()) <= 0.1
-    assert abs(draws.var() - 2.5) / 2.5 <= 0.1
+    assert abs(draws.var() - (2.5 + sigma2)) / (2.5 + sigma2) <= 0.1
 
 
-def test_sample_prior_empirical_covariance():
+def test_sample_targets_empirical_covariance():
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0]))
+    sigma2 = 0.2
     X = np.array([[0.0], [0.5], [1.2]])
-    draws = np.stack([sample_prior(kernel, X, seed=s) for s in range(10_000)])
+    draws = np.stack([sample_targets(kernel, sigma2, X, seed=s)[0] for s in range(10_000)])
     emp = np.cov(draws.T, ddof=1)
-    K = gram(kernel, X)
-    assert np.max(np.abs(emp - K)) <= 0.05 * kernel.variance
+    C = gram(kernel, X) + sigma2 * np.eye(3)
+    assert np.max(np.abs(emp - C)) <= 0.05 * kernel.variance
+
+
+def test_sample_targets_posterior_is_exact_posterior_through_one_factor():
+    kernel, sigma2, X, _, rng = random_problem(61, 40, 2)
+    Q = rng.uniform(-3.0, 3.0, size=(7, 2))
+    reset_solve_log()
+    y, belief = sample_targets(kernel, sigma2, X, 3, Q)
+    factored = [e for e in SOLVE_LOG if e["kind"] == "cholesky"]
+    assert factored == [{"kind": "cholesky", "tag": "kxx_plus_noise", "n": 40}]
+    assert np.array_equal(y, sample_targets(kernel, sigma2, X, seed=3)[0])
+    want = exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+    assert np.array_equal(belief.mean, want.mean)
+    assert np.array_equal(belief.cov, want.cov)
+    assert np.array_equal(belief.var, want.var)
