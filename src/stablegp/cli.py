@@ -568,6 +568,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep_resolution(args) -> int:
+    if not 1 <= args.n <= 5000:  # sample_targets' limit on the n x n Gram
+        raise UsageError("--n must be between 1 and 5000")
+    if not all(math.isfinite(eps) and eps > 0.0 for eps in args.epsilons):
+        raise UsageError("--epsilons must be finite and positive")
+    if not (math.isfinite(args.sigma2) and args.sigma2 > 0.0):
+        raise UsageError("--sigma2 must be finite and positive")
+    if min(args.seeds) < 0:
+        raise UsageError("--seeds must be >= 0")
     rows = sweep_resolution_rows(args.d, args.n, args.epsilons, args.seeds, args.sigma2)
     config_dict = {
         "d": args.d, "n": args.n, "epsilons": args.epsilons, "seeds": args.seeds,

@@ -87,6 +87,8 @@ def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if A.size == 0:
+        return A  # the empty matrix is symmetric, and has no maximum to scale by
     # max|A| and max|A - A.T| without the abs temporaries: fl(a - b) = -fl(b - a),
     # so the largest entry of A - A.T is its largest magnitude.  A NaN entry
     # makes both maxima NaN, so such a matrix passes this check.

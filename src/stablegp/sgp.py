@@ -9,15 +9,15 @@ inducing point, and every linear solve it performs is against
 K_zz + Lambda, never against K_zz alone.  Separation bounds the condition
 number of that matrix, so it is factored once per model or training step
 by a plain Cholesky with no jitter (shifted_gram), and every solve goes
-through that factor.  The exact and baseline posteriors factor with the
-jitter schedule of linalg.cholesky; any factorization that fails raises
-NumericalFailure.  sample_targets draws synthetic targets from their
-marginal N(0, K_xx + sigma^2 I) through the same factor of that matrix
-that the exact posterior given them uses, so a synthetic problem costs one
-Cholesky, of a matrix the noise keeps well conditioned.  The training loop
-optimizes kernel hyperparameters and the noise by stochastic first-order
-steps with analytic gradients; the trace terms of those gradients can be
-estimated with Hutchinson probes.
+through that factor.  The exact GP is the clustered model with one point
+per cluster (z = X, u = y, Lambda = sigma^2 I) and takes the same path; a
+failed factorization or solve raises NumericalFailure.  Only the baseline,
+which must factor K_zz itself, uses linalg.cholesky's jitter schedule.
+sample_targets draws synthetic targets from N(0, K_xx + sigma^2 I) through
+the factor the exact posterior given them uses, so a synthetic problem
+costs one Cholesky.  The training loop optimizes kernel hyperparameters
+and the noise by stochastic first-order steps with analytic gradients; the
+trace terms of those gradients can be estimated with Hutchinson probes.
 """
 
 from __future__ import annotations
@@ -178,37 +178,20 @@ class GaussianBelief:
     cov: Optional[np.ndarray]
 
 
-def _factor_kxx_plus_noise(kernel: Kernel, sigma2: float, X: np.ndarray) -> CholeskyOutcome:
-    """Cholesky factor of K_xx + sigma^2 I, with linalg.cholesky's jitter schedule."""
-    A = gram(kernel, X)
-    A[np.diag_indices_from(A)] += sigma2
-    return cholesky(A, tag="kxx_plus_noise")
-
-
-def _condition(model: ExactGP, out: CholeskyOutcome, Q: np.ndarray) -> GaussianBelief:
-    """Exact posterior at Q given out, the factor of K_xx + sigma^2 I for model's inputs."""
-    k = model.kernel
-    K_qq = gram(k, Q)
-    K_xq = gram(k, model.X, Q)
-    alpha = cho_solve(out, model.y)
-    S = cho_solve(out, K_xq)
-    mean = K_xq.T @ alpha
-    cov = K_qq - K_xq.T @ S
-    cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, np.diag(cov).copy(), cov)
+def _exact_as_clustered(kernel: Kernel, sigma2: float, X: np.ndarray, y: np.ndarray) -> ClusteredModel:
+    """The exact GP on (X, y) as the clustered model with one point per cluster."""
+    return ClusteredModel(kernel, sigma2, X, y, np.full(len(y), sigma2), np.ones(len(y), dtype=int))
 
 
 def exact_posterior(model: ExactGP, query) -> GaussianBelief:
     """Dense exact GP posterior at the query points.
 
-    Factors K_xx + sigma^2 I once (tag "kxx_plus_noise") and solves through
-    that factor; with no data the belief is the prior.
+    The posterior of the clustered model with one point per cluster, through
+    shifted_gram's zero-jitter factor of K_xx + sigma^2 I; with no data the
+    belief is the prior.
     """
-    Q = _as_matrix(query)
-    if model.X.shape[0] == 0:
-        K_qq = gram(model.kernel, Q)
-        return GaussianBelief(np.zeros(Q.shape[0]), np.diag(K_qq).copy(), K_qq)
-    return _condition(model, _factor_kxx_plus_noise(model.kernel, model.noise_sigma2, model.X), Q)
+    clustered = _exact_as_clustered(model.kernel, model.noise_sigma2, model.X, model.y)
+    return _posterior(clustered, query, True, shifted_gram(clustered))
 
 
 def sample_targets(
@@ -216,24 +199,23 @@ def sample_targets(
 ) -> tuple[np.ndarray, Optional[GaussianBelief]]:
     """Targets y ~ N(0, K_xx + sigma^2 I) at X and, given a query, the exact posterior there.
 
-    y = L xi with L L^T = K_xx + sigma^2 I and xi the first n standard
-    normals of np.random.default_rng(seed), so y has the law of f + noise
-    with f ~ GP(0, kernel) and noise ~ N(0, sigma^2 I), and K_xx alone,
-    which can be nearly singular, is never factored.  The posterior solves
-    through the same factor L and is bit-identical to
+    y = L xi with L L^T = K_xx + sigma^2 I (shifted_gram's factor, as in
+    exact_posterior) and xi the first n standard normals of
+    np.random.default_rng(seed), so y has the law of f + noise with
+    f ~ GP(0, kernel) and noise ~ N(0, sigma^2 I), and K_xx alone, which can
+    be nearly singular, is never factored.  The posterior solves through the
+    same factor L and is bit-identical to
     exact_posterior(ExactGP(kernel, sigma2, X, y), query); without a query
     it is None.  At most 5000 points, to bound the n x n Gram.
     """
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
     X = _as_matrix(X)
     if X.shape[0] > 5000:
         raise ValueError("sample_targets is limited to 5000 points")
-    out = _factor_kxx_plus_noise(kernel, sigma2, X)
+    A, out = shifted_gram(_exact_as_clustered(kernel, sigma2, X, np.zeros(X.shape[0])))
     y = out.factor @ np.random.default_rng(seed).standard_normal(X.shape[0])
     if query is None:
         return y, None
-    return y, _condition(ExactGP(kernel, sigma2, X, y), out, _as_matrix(query))
+    return y, _posterior(_exact_as_clustered(kernel, sigma2, X, y), query, True, (A, out))
 
 
 def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> GaussianBelief:
@@ -322,8 +304,13 @@ def clustered_posterior(model: ClusteredModel, query, full_cov: bool = True) -> 
     points as k(x, x) - colsum(K_zq * (K_zz + Lambda)^{-1} K_zq), so memory is
     O(M * _QUERY_BLOCK) whatever the number of queries; cov is then None.
     """
+    return _posterior(model, query, full_cov, shifted_gram(model))
+
+
+def _posterior(model: ClusteredModel, query, full_cov: bool, shifted) -> GaussianBelief:
+    """clustered_posterior(model, query, full_cov) through shifted = shifted_gram(model)."""
     Q = _as_matrix(query)
-    A, out = shifted_gram(model)
+    A, out = shifted
     if full_cov:
         K_zq = gram(model.kernel, model.z, Q)
         sol = _solve(A, out, np.column_stack([model.u, K_zq]))

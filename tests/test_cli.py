@@ -625,8 +625,9 @@ def factored_in_sweep(monkeypatch):
 def test_sweep_factors_one_size_n_matrix_per_problem(monkeypatch):
     logged, _ = factored_in_sweep(monkeypatch)
     # one (d, seed) problem per d: its K_xx + sigma2 I is the only n x n factorization
-    assert [(e["tag"], e["n"]) for e in logged if e["n"] == 300] == [("kxx_plus_noise", 300)] * 2
-    assert {e["tag"] for e in logged} == {"kxx_plus_noise", "kzz_plus_lambda"}
+    assert [(e["tag"], e["n"]) for e in logged if e["n"] == 300] == [("kzz_plus_lambda", 300)] * 2
+    # the exact GP is the singleton clustered model, so nothing else is factored
+    assert {e["tag"] for e in logged} == {"kzz_plus_lambda"}
 
 
 def test_sweep_factors_only_matrices_cholesky_provably_handles(monkeypatch):
@@ -664,6 +665,32 @@ def test_kms_demo_table(tmp_path):
     for n in (64, 256):
         errs = [r["err_median"] for r in sorted(rows, key=lambda r: r["rho"]) if r["n"] == n]
         assert errs[0] <= errs[1]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--n", "0"),
+        ("--n", "5001"),
+        ("--epsilons", "0"),
+        ("--epsilons", "-0.3"),
+        ("--epsilons", "inf"),
+        ("--epsilons", "nan"),
+        ("--sigma2", "0"),
+        ("--sigma2", "-0.1"),
+        ("--sigma2", "inf"),
+        ("--sigma2", "nan"),
+        ("--seeds", "-1"),
+    ],
+)
+def test_sweep_resolution_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep-resolution", "--d", "1", "--n", "50", "--epsilons", "0.6", "--seeds", "0"]
+    args += [flag, value, "--out", str(out)]
+    assert main(args) == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
 
 
 def test_kms_demo_rejects_zero_trials(tmp_path, capsys):

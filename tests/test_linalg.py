@@ -68,6 +68,17 @@ def test_cholesky_jitter_schedule(monkeypatch):
         assert tried == [0.0]
 
 
+def test_cholesky_of_the_empty_matrix():
+    assert _check_symmetric(np.zeros((0, 0))).shape == (0, 0)
+    with pytest.raises(ValueError, match="square"):
+        _check_symmetric(np.zeros((0, 1)))
+    for jitter in (True, False):
+        out = cholesky(np.zeros((0, 0)), jitter=jitter)
+        assert out.factor.shape == (0, 0)
+        assert out.jitter_used == 0.0
+        assert linalg.cho_solve(out, np.zeros((0, 3))).shape == (0, 3)
+
+
 def test_cholesky_failure_raises_naming_its_tag():
     for jitter, largest in ((True, "0.01"), (False, "0")):
         log_size = len(linalg.SOLVE_LOG)

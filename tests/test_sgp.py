@@ -120,6 +120,53 @@ def test_exact_posterior_matches_dense_oracle():
     assert np.max(np.abs(belief.cov - cov)) <= 1e-10
 
 
+def test_singular_exact_gp_raises_instead_of_jittering():
+    # two coincident inputs and a noise far below the rounding of the unit
+    # diagonal: K_xx + sigma^2 I is singular in double precision
+    kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0]))
+    model = ExactGP(kernel, 1e-20, np.array([[0.0], [0.0], [1.0]]), np.array([1.0, -1.0, 0.5]))
+    with pytest.raises(NumericalFailure):
+        exact_posterior(model, np.array([[0.5]]))
+
+
+def test_exact_posterior_solves_are_residual_gated(monkeypatch):
+    kernel, sigma2, X, y, rng = random_problem(1, 5, 1)
+    Q = rng.uniform(-3.0, 3.0, size=(4, 1))
+    monkeypatch.setattr(sgp, "_RESIDUAL_ACCEPT", 0.0)
+    with pytest.raises(NumericalFailure, match="relative residual"):
+        exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+    with pytest.raises(NumericalFailure, match="relative residual"):
+        sample_targets(kernel, sigma2, X, 0, Q)
+
+
+def test_only_the_sgpr_baseline_factors_with_jitter(monkeypatch):
+    calls = []
+    factor = sgp.cholesky
+
+    def spy(A, jitter=True, tag=""):
+        calls.append((tag, jitter))
+        return factor(A, jitter=jitter, tag=tag)
+
+    monkeypatch.setattr(sgp, "cholesky", spy)
+    kernel, sigma2, X, y, rng = random_problem(24, 120, 2)
+    data = Dataset(X, y)
+    Q = rng.uniform(-3.0, 3.0, size=(5, 2))
+    model = fit_clustered(data, inducing_points(build(X, epsilon=0.7)), kernel, sigma2)
+    exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+    sample_targets(kernel, sigma2, X, 0, Q)
+    clustered_posterior(model, Q)
+    clustered_posterior(model, Q, full_cov=False)
+    kl_to_prior(model, trace_mode="exact")
+    kl_to_prior(model, trace_mode="hutchinson", probes=16, seed=0)
+    training_objective(model, data, data.n)
+    train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
+    assert len(calls) > 8
+    assert all(jitter is False for _, jitter in calls)
+    calls.clear()
+    sgpr_posterior(ExactGP(kernel, sigma2, X, y), model.z, Q)
+    assert calls == [("kzz_sgpr", True), ("sgpr_inner", True)]
+
+
 # ---------------------------------------------------------------------------
 # SGPR baseline
 
@@ -598,7 +645,7 @@ def test_sample_targets_posterior_is_exact_posterior_through_one_factor():
     reset_solve_log()
     y, belief = sample_targets(kernel, sigma2, X, 3, Q)
     factored = [e for e in SOLVE_LOG if e["kind"] == "cholesky"]
-    assert factored == [{"kind": "cholesky", "tag": "kxx_plus_noise", "n": 40}]
+    assert factored == [{"kind": "cholesky", "tag": "kzz_plus_lambda", "n": 40}]
     assert np.array_equal(y, sample_targets(kernel, sigma2, X, seed=3)[0])
     want = exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
     assert np.array_equal(belief.mean, want.mean)
