@@ -195,7 +195,15 @@ def write_csv_dataset(path: str, data: Dataset) -> None:
 
 
 def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    # allow_nan=False: a non-finite config raises here, before any file is written
+    return hashlib.sha256(json.dumps(config, sort_keys=True, allow_nan=False).encode()).hexdigest()[:16]
+
+
+def _write_json(path: str, obj) -> None:
+    """obj as indented JSON; a nan or inf in it raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def write_table(path: str, command: str, config: dict, fieldnames: list, rows: list) -> None:
@@ -208,9 +216,7 @@ def write_table(path: str, command: str, config: dict, fieldnames: list, rows: l
         w.writeheader()
         for row in rows:
             w.writerow(row)
-    with open(path + ".config.json", "w") as fh:
-        json.dump({"command": command, "config_hash": digest, "config": config}, fh, indent=2)
-        fh.write("\n")
+    _write_json(path + ".config.json", {"command": command, "config_hash": digest, "config": config})
 
 
 def read_table(path: str):
@@ -464,8 +470,6 @@ def cmd_select(args) -> int:
     else:
         if args.m is None:
             raise UsageError("--m is required for method=kmeans")
-        if args.kmeans_iters < 0:
-            raise UsageError("--kmeans-iters must be >= 0")
         z = ct.select_kmeans(data.X, args.m, args.kmeans_iters, args.seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     if args.method == "covertree" and not args.no_voronoi:
@@ -475,47 +479,29 @@ def cmd_select(args) -> int:
     payload = z.to_json()
     payload["metrics"] = {
         "M": z.m,
-        "separation": ct.separation(z),
+        # a single point has no pair to measure
+        "separation": ct.separation(z) if z.m > 1 else None,
         "spatial_resolution": resolution,
         "wall_time_ms": wall_ms,
     }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, payload)
     print(f"wrote {args.out}: M={z.m}")
     return EXIT_OK
 
 
-def _load_inducing(path: str) -> ct.InducingSet:
+def _load_json(path: str, what: str, from_json):
+    """from_json of the JSON file at path; any failure is a UsageError naming the file."""
     try:
         with open(path) as fh:
-            return ct.InducingSet.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as e:
-        raise UsageError(f"cannot load inducing set from {path}: {e}") from None
-
-
-def _load_kernel(path: str) -> Kernel:
-    try:
-        with open(path) as fh:
-            return Kernel.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as e:
-        raise UsageError(f"cannot load kernel from {path}: {e}") from None
+            return from_json(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"cannot load {what} from {path}: {e}") from None
 
 
 def cmd_fit(args) -> int:
     data = load_csv(args.data)
-    z = _load_inducing(args.z)
-    kernel = _load_kernel(args.kernel)
-    if args.sigma2 <= 0.0:
-        raise UsageError("--sigma2 must be positive")
-    if args.steps < 0:
-        raise UsageError("--steps must be >= 0")
-    if args.batch < 1:
-        raise UsageError("--batch must be >= 1")
-    if args.probes < 1:
-        raise UsageError("--probes must be >= 1")
-    if not (math.isfinite(args.lr) and args.lr > 0.0):
-        raise UsageError("--lr must be finite and positive")
+    z = _load_json(args.z, "inducing set", ct.InducingSet.from_json)
+    kernel = _load_json(args.kernel, "kernel", Kernel.from_json)
     model = fit_clustered(data, z, kernel, args.sigma2)
     history = []
     if args.steps > 0:
@@ -529,9 +515,7 @@ def cmd_fit(args) -> int:
             print(json.dumps({"stability_report": report.to_json()}), file=sys.stderr)
             raise
         model, history = result.model, result.history
-    with open(args.out, "w") as fh:
-        json.dump(model.to_json(), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, model.to_json())
     config_dict = {
         "data": args.data, "z": args.z, "kernel": args.kernel, "sigma2": args.sigma2,
         "steps": args.steps, "batch": args.batch, "lr": args.lr, "probes": args.probes, "seed": args.seed,
@@ -545,11 +529,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        with open(args.model) as fh:
-            model = ClusteredModel.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as e:
-        raise UsageError(f"cannot load model from {args.model}: {e}") from None
+    model = _load_json(args.model, "model", ClusteredModel.from_json)
     Xq, yq, has_y = _load_csv_columns(args.query, require_targets=False)
     if Xq.shape[1] != model.z.shape[1]:
         raise UsageError(f"query dimension {Xq.shape[1]} does not match model dimension {model.z.shape[1]}")
@@ -568,18 +548,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep_resolution(args) -> int:
-    if not 1 <= args.n <= 5000:  # sample_targets' limit on the n x n Gram
-        raise UsageError("--n must be between 1 and 5000")
-    if not all(math.isfinite(eps) and eps > 0.0 for eps in args.epsilons):
-        raise UsageError("--epsilons must be finite and positive")
-    if not (math.isfinite(args.sigma2) and args.sigma2 > 0.0):
-        raise UsageError("--sigma2 must be finite and positive")
-    if min(args.seeds) < 0:
-        raise UsageError("--seeds must be >= 0")
     rows = sweep_resolution_rows(args.d, args.n, args.epsilons, args.seeds, args.sigma2)
     config_dict = {
         "d": args.d, "n": args.n, "epsilons": args.epsilons, "seeds": args.seeds,
-        "sigma2": args.sigma2, "seed": args.seeds[0] if args.seeds else 0,
+        "sigma2": args.sigma2, "seed": args.seeds[0],
     }
     write_table(
         args.out, "sweep-resolution", config_dict,
@@ -590,8 +562,6 @@ def cmd_sweep_resolution(args) -> int:
 
 
 def cmd_kms_demo(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     rows = kms_demo_rows(args.rho, args.n, args.trials, args.seed)
     config_dict = {"rho": args.rho, "n": args.n, "trials": args.trials, "seed": args.seed}
     write_table(
@@ -603,15 +573,8 @@ def cmd_kms_demo(args) -> int:
 
 
 def cmd_datasize_sweep(args) -> int:
-    if args.steps < 0:
-        raise UsageError("--steps must be >= 0")
-    # n >= 2 leaves the 80/20 split a nonempty test set
-    if min(args.n_list) < 2:
-        raise UsageError("--n-list values must be >= 2")
-    if min(args.m_list) < 1:
-        raise UsageError("--m-list values must be >= 1")
     data = load_csv(args.data)
-    kernel = _load_kernel(args.kernel) if args.kernel else default_kernel(data.d)
+    kernel = _load_json(args.kernel, "kernel", Kernel.from_json) if args.kernel else default_kernel(data.d)
     rows = datasize_sweep_rows(data, args.n_list, args.m_list, args.methods, kernel, args.sigma2, args.steps, args.seed)
     config_dict = {
         "data": args.data, "n_list": args.n_list, "m_list": args.m_list, "methods": args.methods,
@@ -634,6 +597,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Every numeric flag declares its range through its type, so argparse rejects
+# a value outside it as "argument --flag: ..." before any command runs.  Each
+# converter takes the name of the type it parses, which keeps argparse's
+# "invalid int value: 'x'" for text that is not a number.
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type: an int in the closed interval [lo, hi]."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+def _float_in(lo: float, hi: float = math.inf):
+    """argparse type: a float in the open interval (lo, hi), so never nan or inf."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not lo < value < hi:
+            bound = f"finite and > {lo:g}" if hi == math.inf else f"in ({lo:g}, {hi:g})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="stablegp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -641,12 +634,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("select", help="select inducing points from a dataset")
     s.add_argument("data")
     s.add_argument("--method", choices=["covertree", "uniform", "kmeans"], required=True)
-    s.add_argument("--epsilon", type=float)
-    s.add_argument("--m", type=int)
-    s.add_argument("--kmeans-iters", type=int, default=20)
+    s.add_argument("--epsilon", type=_float_in(0.0))
+    s.add_argument("--m", type=_int_in(1))
+    s.add_argument("--kmeans-iters", type=_int_in(0), default=20)
     s.add_argument("--no-lloyd", action="store_true")
     s.add_argument("--no-voronoi", action="store_true")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_int_in(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_select)
 
@@ -654,12 +647,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("data")
     s.add_argument("z")
     s.add_argument("kernel")
-    s.add_argument("--sigma2", type=float, default=0.1)
-    s.add_argument("--steps", type=int, default=0)
-    s.add_argument("--batch", type=int, default=1000)
-    s.add_argument("--lr", type=float, default=0.01)
-    s.add_argument("--probes", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--sigma2", type=_float_in(0.0), default=0.1)
+    s.add_argument("--steps", type=_int_in(0), default=0)
+    s.add_argument("--batch", type=_int_in(1), default=1000)
+    s.add_argument("--lr", type=_float_in(0.0), default=0.01)
+    s.add_argument("--probes", type=_int_in(1), default=10)
+    s.add_argument("--seed", type=_int_in(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_fit)
 
@@ -671,30 +664,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep-resolution", help="accuracy/conditioning vs spatial resolution")
     s.add_argument("--d", type=int, nargs="+", choices=[1, 2, 4, 8], default=[1, 2])
-    s.add_argument("--n", type=int, default=1000)
-    s.add_argument("--epsilons", type=float, nargs="+", default=[0.3, 0.6, 1.2, 2.4])
-    s.add_argument("--seeds", type=int, nargs="+", default=[0])
-    s.add_argument("--sigma2", type=float, default=0.1)
+    s.add_argument("--n", type=_int_in(1, 5000), default=1000)  # sample_targets' limit on the n x n Gram
+    s.add_argument("--epsilons", type=_float_in(0.0), nargs="+", default=[0.3, 0.6, 1.2, 2.4])
+    s.add_argument("--seeds", type=_int_in(0), nargs="+", default=[0])
+    s.add_argument("--sigma2", type=_float_in(0.0), default=0.1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sweep_resolution)
 
     s = sub.add_parser("kms-demo", help="conditioning of the exponential-kernel grid matrix")
-    s.add_argument("--rho", type=float, nargs="+", default=[0.9, 0.99, 0.999])
-    s.add_argument("--n", type=int, nargs="+", default=[64, 256, 1024])
-    s.add_argument("--trials", type=int, default=20)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--rho", type=_float_in(0.0, 1.0), nargs="+", default=[0.9, 0.99, 0.999])
+    s.add_argument("--n", type=_int_in(1), nargs="+", default=[64, 256, 1024])
+    s.add_argument("--trials", type=_int_in(1), default=20)
+    s.add_argument("--seed", type=_int_in(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_kms_demo)
 
     s = sub.add_parser("datasize-sweep", help="stability/accuracy vs data size and inducing count")
     s.add_argument("data")
-    s.add_argument("--n-list", type=int, nargs="+", required=True)
-    s.add_argument("--m-list", type=int, nargs="+", required=True)
+    # n >= 2 leaves the 80/20 split a nonempty test set
+    s.add_argument("--n-list", type=_int_in(2), nargs="+", required=True)
+    s.add_argument("--m-list", type=_int_in(1), nargs="+", required=True)
     s.add_argument("--methods", nargs="+", default=["covertree"], choices=["covertree", "uniform", "kmeans"])
     s.add_argument("--kernel")
-    s.add_argument("--sigma2", type=float, default=0.1)
-    s.add_argument("--steps", type=int, default=0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--sigma2", type=_float_in(0.0), default=0.1)
+    s.add_argument("--steps", type=_int_in(0), default=0)
+    s.add_argument("--seed", type=_int_in(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_datasize_sweep)
     return p

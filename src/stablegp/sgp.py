@@ -129,10 +129,12 @@ class ClusteredModel:
         counts = np.ascontiguousarray(self.cluster_counts, dtype=int).reshape(-1)
         if not (len(u) == len(lam) == len(counts) == z.shape[0]):
             raise ValueError("z, u, lambda and cluster_counts must have matching lengths")
-        if not self.noise_sigma2 > 0.0:
-            raise ValueError("noise_sigma2 must be positive")
-        if not (lam > 0.0).all():
-            raise ValueError("all lambda entries must be positive")
+        if not 0.0 < self.noise_sigma2 < math.inf:
+            raise ValueError("noise_sigma2 must be finite and positive")
+        if not ((lam > 0.0) & (lam < math.inf)).all():
+            raise ValueError("all lambda entries must be finite and positive")
+        if not (np.isfinite(u).all() and np.isfinite(z).all()):
+            raise ValueError("z and u must be finite")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "lam", lam)

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -60,6 +61,13 @@ def kernel_json(tmp_path):
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps(Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0, 1.0])).to_json()))
     return path
+
+
+def _strict_json(text: str):
+    """json.loads that raises on NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +289,10 @@ def test_select_covertree_wide_epsilon_single_point(tmp_path):
     out = tmp_path / "z.json"
     code = main(["select", str(data), "--method", "covertree", "--epsilon", "10.0", "--out", str(out)])
     assert code == EXIT_OK
-    obj = json.loads(out.read_text())
+    obj = _strict_json(out.read_text())
     assert obj["metrics"]["M"] == 1
+    # one point has no pair to measure
+    assert obj["metrics"]["separation"] is None
 
 
 def test_select_uniform_all_points(tmp_path, small_csv):
@@ -347,9 +357,8 @@ def test_select_rejects_bad_usage(tmp_path, small_csv):
     assert main(["select", str(small_csv), "--method", "covertree", "--out", str(out)]) == EXIT_USAGE
     assert main(["select", str(tmp_path / "missing.csv"), "--method", "uniform", "--m", "3", "--out", str(out)]) == EXIT_USAGE
     assert main(["select", str(small_csv), "--method", "uniform", "--m", "99", "--out", str(out)]) == EXIT_USAGE
-    kmeans = ["select", str(small_csv), "--method", "kmeans", "--m", "5", "--out", str(out)]
-    assert main(kmeans + ["--kmeans-iters", "-1"]) == EXIT_USAGE
     assert not out.exists()
+    kmeans = ["select", str(small_csv), "--method", "kmeans", "--m", "5", "--out", str(out)]
     assert main(kmeans + ["--kmeans-iters", "0"]) == EXIT_OK
 
 
@@ -371,7 +380,7 @@ def fit_files(tmp_path, small_csv, kernel_json, steps=0, extra=()):
 
 def test_fit_zero_steps_matches_library_fit(tmp_path, small_csv, kernel_json):
     z_path, model_path = fit_files(tmp_path, small_csv, kernel_json)
-    obj = json.loads(model_path.read_text())
+    obj = _strict_json(model_path.read_text())
     data = load_csv(str(small_csv))
     z = np.asarray(json.loads(z_path.read_text())["points"], dtype=float)
     kernel = Kernel.from_json(kernel_json.read_text())
@@ -386,29 +395,6 @@ def test_fit_deterministic_under_seed(tmp_path, small_csv, kernel_json):
     text1 = m1.read_text()
     _, m2 = fit_files(tmp_path, small_csv, kernel_json, steps=4, extra=("--seed", "3"))
     assert m2.read_text() == text1
-
-
-def test_fit_rejects_empty_batch_and_negative_steps(tmp_path, small_csv, kernel_json, capsys):
-    z_path, _ = fit_files(tmp_path, small_csv, kernel_json)
-    # --batch, --probes and --lr are checked even when no training step runs
-    for extra, flag in (
-        (["--steps", "1", "--batch", "0"], "--batch"),
-        (["--steps", "-2"], "--steps"),
-        (["--steps", "0", "--batch", "0"], "--batch"),
-        (["--steps", "0", "--probes", "0"], "--probes"),
-        (["--steps", "5", "--lr", "-0.5"], "--lr"),
-        (["--steps", "0", "--lr", "-0.5"], "--lr"),
-        (["--steps", "0", "--lr", "0"], "--lr"),
-        (["--steps", "0", "--lr", "inf"], "--lr"),
-        (["--steps", "0", "--lr", "nan"], "--lr"),
-        (["--steps", "1", "--lr", "inf"], "--lr"),
-    ):
-        out = tmp_path / "rejected.json"
-        args = ["fit", str(small_csv), str(z_path), str(kernel_json), "--out", str(out)] + extra
-        assert main(args) == EXIT_USAGE
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "error:" in err and flag in err, extra
 
 
 def test_fit_training_log_mostly_nonincreasing(tmp_path, kernel_json):
@@ -508,6 +494,34 @@ def test_predict_memory_does_not_grow_with_query_count_squared(tmp_path):
     assert peak < n_queries**2 * 8 / 4
     _, rows = read_table(str(pred_path))
     assert len(rows) == n_queries
+
+
+@pytest.mark.parametrize("key, value", [("sigma2", math.inf), ("lambda", math.inf), ("u", math.nan), ("z", -math.inf)])
+def test_predict_rejects_non_finite_model_file(tmp_path, small_csv, kernel_json, capsys, key, value):
+    # json.dumps writes Infinity and NaN, as fit once did for --sigma2 inf
+    _, model_path = fit_files(tmp_path, small_csv, kernel_json)
+    obj = json.loads(model_path.read_text())
+    obj[key] = np.full(np.shape(obj[key]), value).tolist()
+    model_path.write_text(json.dumps(obj))
+    out = tmp_path / "pred.csv"
+    assert main(["predict", str(model_path), str(small_csv), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: cannot load model from {model_path}: ")
+
+
+def test_json_inputs_that_are_not_objects_are_usage_errors(tmp_path, small_csv, kernel_json, capsys):
+    z_path, model_path = fit_files(tmp_path, small_csv, kernel_json)
+    listed = tmp_path / "list.json"
+    listed.write_text("[]\n")
+    out = tmp_path / "out"
+    for argv, what in (
+        (["predict", str(listed), str(small_csv)], "model"),
+        (["fit", str(small_csv), str(listed), str(kernel_json)], "inducing set"),
+        (["fit", str(small_csv), str(z_path), str(listed)], "kernel"),
+    ):
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: cannot load {what} from {listed}: ")
 
 
 def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
@@ -681,23 +695,18 @@ def test_kms_demo_table(tmp_path):
         ("--sigma2", "inf"),
         ("--sigma2", "nan"),
         ("--seeds", "-1"),
+        ("--n", "-1"),
+        ("--n", "nan"),
+        ("--n", "inf"),
+        ("--epsilons", "-1"),
+        ("--seeds", "nan"),
+        ("--seeds", "inf"),
+        ("--seeds", "1.5"),
     ],
 )
 def test_sweep_resolution_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
-    out = tmp_path / "sweep.csv"
-    args = ["sweep-resolution", "--d", "1", "--n", "50", "--epsilons", "0.6", "--seeds", "0"]
-    args += [flag, value, "--out", str(out)]
-    assert main(args) == EXIT_USAGE
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag in err
-
-
-def test_kms_demo_rejects_zero_trials(tmp_path, capsys):
-    out = tmp_path / "kms.csv"
-    assert main(["kms-demo", "--rho", "0.9", "--n", "64", "--trials", "0", "--out", str(out)]) == EXIT_USAGE
-    assert not out.exists()
-    assert "--trials" in capsys.readouterr().err
+    argv = ["sweep-resolution", "--d", "1", "--n", "50", "--epsilons", "0.6", "--seeds", "0", flag, value]
+    _assert_rejected(tmp_path, capsys, argv, flag)
 
 
 def test_datasize_sweep_table(tmp_path):
@@ -711,9 +720,6 @@ def test_datasize_sweep_table(tmp_path):
         "--methods", "covertree", "uniform", "--sigma2", "0.04", "--seed", "2",
         "--out", str(out),
     ]
-    rejected = tmp_path / "rejected.csv"
-    assert main(args[:-1] + [str(rejected), "--steps", "-1"]) == EXIT_USAGE
-    assert not rejected.exists()
     assert main(args) == EXIT_OK
     _, rows = read_table(str(out))
     ok = [r for r in rows if r["status"] == "ok" and r["method"] == "covertree"]
@@ -727,30 +733,10 @@ def test_datasize_sweep_table(tmp_path):
         assert group[-1]["cond"] <= group[0]["cond"] * 1.05
 
 
-def test_datasize_sweep_rejects_out_of_range_sizes(tmp_path, capsys):
-    data = synthetic_prior_dataset(d=2, n=60, sigma2=0.04, seed=9)
+def test_datasize_sweep_accepts_smallest_sizes(tmp_path):
     path = tmp_path / "geo.csv"
-    write_csv_dataset(str(path), data)
+    write_csv_dataset(str(path), synthetic_prior_dataset(d=2, n=60, sigma2=0.04, seed=9))
     out = tmp_path / "table.csv"
-    # n = 1 leaves the 80/20 split no test point; m < 1 asks for no inducing point
-    for n_list, m_list, flag in (
-        (["1"], ["20"], "--n-list"),
-        (["0"], ["20"], "--n-list"),
-        (["-5"], ["20"], "--n-list"),
-        (["40", "1"], ["20"], "--n-list"),
-        (["40"], ["0"], "--m-list"),
-        (["40"], ["-3"], "--m-list"),
-        (["40"], ["20", "0"], "--m-list"),
-    ):
-        args = [
-            "datasize-sweep", str(path), "--n-list", *n_list, "--m-list", *m_list,
-            "--methods", "covertree", "--out", str(out),
-        ]
-        assert main(args) == EXIT_USAGE, (n_list, m_list)
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "error:" in err and flag in err, (n_list, m_list)
-    # the smallest accepted sizes give a finite row
     args = ["datasize-sweep", str(path), "--n-list", "2", "--m-list", "1", "--methods", "covertree", "--out", str(out)]
     assert main(args) == EXIT_OK
     _, rows = read_table(str(out))
@@ -772,6 +758,94 @@ def test_tables_have_provenance_and_are_reproducible(tmp_path):
     with open(str(out1) + ".config.json") as fh:
         sidecar = json.load(fh)
     assert sidecar["config"]["trials"] == 3
+
+
+# ---------------------------------------------------------------------------
+# flag ranges
+
+_NONNEGATIVE_INT = ["nan", "inf", "1.5", "-1"]
+_POSITIVE_INT = ["nan", "inf", "0", "-1"]
+_POSITIVE_FLOAT = ["nan", "inf", "0", "-1"]
+
+# Per command: the flags of a valid invocation after its input files, and the
+# rejected values of each numeric flag.  sweep-resolution's cases are in
+# test_sweep_resolution_rejects_out_of_range_flags.
+_RANGES = {
+    "select": (
+        ["--method", "covertree", "--epsilon", "0.6"],
+        {"--epsilon": _POSITIVE_FLOAT, "--m": _POSITIVE_INT, "--kmeans-iters": _NONNEGATIVE_INT,
+         "--seed": _NONNEGATIVE_INT},
+    ),
+    "fit": (
+        ["--steps", "0"],
+        {"--sigma2": _POSITIVE_FLOAT, "--steps": _NONNEGATIVE_INT, "--batch": _POSITIVE_INT,
+         "--lr": _POSITIVE_FLOAT, "--probes": _POSITIVE_INT, "--seed": _NONNEGATIVE_INT},
+    ),
+    "kms-demo": (
+        ["--rho", "0.9", "--n", "64"],
+        {"--rho": _POSITIVE_FLOAT + ["1", "1.5"], "--n": _POSITIVE_INT, "--trials": _POSITIVE_INT,
+         "--seed": _NONNEGATIVE_INT},
+    ),
+    "datasize-sweep": (
+        ["--n-list", "40", "--m-list", "20", "--methods", "covertree"],
+        {"--n-list": _POSITIVE_INT + ["1"], "--m-list": _POSITIVE_INT, "--sigma2": _POSITIVE_FLOAT,
+         "--steps": _NONNEGATIVE_INT, "--seed": _NONNEGATIVE_INT},
+    ),
+}
+
+# (command, flags, the flag the error names): every value above, then cases
+# that put the bad value next to others or after a valid one
+_REJECTED = [
+    (command, [flag, value], flag)
+    for command, (_, values) in _RANGES.items()
+    for flag, bad in values.items()
+    for value in bad
+] + [
+    ("select", ["--method", "kmeans", "--m", "5", "--kmeans-iters", "-1"], "--kmeans-iters"),
+    ("fit", ["--steps", "1", "--batch", "0"], "--batch"),
+    ("fit", ["--steps", "-2"], "--steps"),
+    ("fit", ["--steps", "0", "--batch", "0"], "--batch"),
+    ("fit", ["--steps", "0", "--probes", "0"], "--probes"),
+    ("fit", ["--steps", "5", "--lr", "-0.5"], "--lr"),
+    ("fit", ["--steps", "0", "--lr", "-0.5"], "--lr"),
+    ("fit", ["--steps", "1", "--lr", "inf"], "--lr"),
+    ("datasize-sweep", ["--n-list", "-5"], "--n-list"),
+    ("datasize-sweep", ["--n-list", "40", "1"], "--n-list"),
+    ("datasize-sweep", ["--m-list", "-3"], "--m-list"),
+    ("datasize-sweep", ["--m-list", "20", "0"], "--m-list"),
+]
+
+
+def _assert_rejected(tmp_path, capsys, argv, flag):
+    """argv exits 1, writes no file, and its error names flag."""
+    before = set(tmp_path.iterdir())
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert set(tmp_path.iterdir()) == before
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+
+
+@pytest.mark.parametrize("command, flags, flag", _REJECTED, ids=[" ".join([c, *f]) for c, f, _ in _REJECTED])
+def test_out_of_range_flag_is_a_usage_error(tmp_path, small_csv, kernel_json, capsys, command, flags, flag):
+    z_path = tmp_path / "z.json"
+    z_path.write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 1.0]], "provenance": {}}))
+    files = {"select": [small_csv], "fit": [small_csv, z_path, kernel_json], "datasize-sweep": [small_csv]}
+    argv = [command, *map(str, files.get(command, [])), *_RANGES[command][0], *flags]
+    _assert_rejected(tmp_path, capsys, argv, flag)
+
+
+def test_every_numeric_flag_declares_its_range():
+    # A bare int or float type takes nan, inf or either sign; a flag added
+    # without a range declared in its type fails here.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(commands) == 6
+    bare = [
+        f"{name} {action.dest}"
+        for name, sub in commands.items()
+        for action in sub._actions
+        if action.type in (int, float) and action.choices is None
+    ]
+    assert bare == []
 
 
 # ---------------------------------------------------------------------------
