@@ -42,7 +42,6 @@ from .linalg import (
     CholeskyOutcome,
     NumericalFailure,
     SpectrumSummary,
-    cg_multi,
     cho_solve,
     cholesky,
     cholesky_stability_predicate,
@@ -76,7 +75,7 @@ __all__ = [
     "DecayEnvelope", "Family", "Kernel", "decay_envelope", "eval_kernel", "gram",
     "gram_gradients", "kms_matrix",
     "CGReport", "CholeskyOutcome", "NumericalFailure",
-    "SpectrumSummary", "cg_multi", "cho_solve", "cholesky", "cholesky_stability_predicate",
+    "SpectrumSummary", "cho_solve", "cholesky", "cholesky_stability_predicate",
     "conjugate_gradient", "hutchinson_trace", "spectrum", "wasserstein2_gaussians",
     "ClusteredModel", "Dataset", "ExactGP", "GaussianBelief", "TrainConfig", "TrainResult",
     "clustered_posterior", "exact_posterior", "fit_clustered", "kl_to_prior",

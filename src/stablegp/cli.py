@@ -578,7 +578,7 @@ def cmd_datasize_sweep(args) -> int:
     rows = datasize_sweep_rows(data, args.n_list, args.m_list, args.methods, kernel, args.sigma2, args.steps, args.seed)
     config_dict = {
         "data": args.data, "n_list": args.n_list, "m_list": args.m_list, "methods": args.methods,
-        "sigma2": args.sigma2, "steps": args.steps, "seed": args.seed,
+        "kernel": args.kernel, "sigma2": args.sigma2, "steps": args.steps, "seed": args.seed,
     }
     write_table(
         args.out, "datasize-sweep", config_dict,

@@ -6,9 +6,9 @@ extremal eigenvalues and condition numbers, Hutchinson trace estimation, and
 the closed-form 2-Wasserstein distance between Gaussians.
 
 Every factorization and solve performed through this module is appended to
-SOLVE_LOG (kind, tag, n and, for cho_solve and cg_multi, the number of
-right-hand sides), which is how the no-bare-K_zz discipline of the sparse GP
-fitting path is asserted in tests.
+SOLVE_LOG (kind, tag, n and, for cho_solve, the number of right-hand sides;
+cg_multi logs one CG entry per column), which is how the no-bare-K_zz
+discipline of the sparse GP fitting path is asserted in tests.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "cholesky",
     "cho_solve",
     "conjugate_gradient",
-    "cg_multi",
     "spectrum",
     "hutchinson_trace",
     "wasserstein2_gaussians",
@@ -53,7 +52,8 @@ class NumericalFailure(RuntimeError):
 # Global append-only record of solves/factorizations: dicts with keys
 # kind ("cholesky" | "cho_solve" | "cg"), tag (caller-supplied label, which a
 # cho_solve inherits from its factorization), n (system size) and, for
-# cho_solve and cg_multi, rhs (number of right-hand sides).
+# cho_solve, rhs (number of right-hand sides).  cg_multi appends one
+# {"kind": "cg", tag, n} entry per column of B.
 SOLVE_LOG: list[dict] = []
 
 
@@ -150,6 +150,8 @@ def conjugate_gradient(
 
     Stops as soon as ||b - A x||_2 <= tol * ||b||_2.  Reaching max_iter is
     reported via converged=False; NaN appearing in the iterates is an error.
+    CG is linear in b, so it runs exactly on b / 2^e, with 2^e the power of
+    two just above max|b|: ||b|| can then neither underflow nor overflow.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -158,17 +160,15 @@ def conjugate_gradient(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     SOLVE_LOG.append({"kind": "cg", "tag": tag, "n": n})
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return CGReport(np.zeros_like(b), 0, 0.0, True)
-    x = np.zeros_like(b)
-    r = b.copy()
-    res = b_norm
-    if res <= tol * b_norm:
-        return CGReport(x, 0, res, True)
-    p = r.copy()
+    e = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
+    b = np.ldexp(b, -e)
+    x, r, p = np.zeros_like(b), b, b
     rs = float(r @ r)
-    for it in range(1, max_iter + 1):
+    res = math.sqrt(rs)
+    threshold = tol * res
+    it = 0
+    while not res <= threshold and it < max_iter:  # NaN in b enters, and raises below
+        it += 1
         Ap = matvec(p)
         alpha = rs / float(p @ Ap)
         x = x + alpha * p
@@ -177,11 +177,9 @@ def conjugate_gradient(
         if not math.isfinite(rs_new):
             raise FloatingPointError("NaN/Inf encountered in CG iterates")
         res = math.sqrt(rs_new)
-        if res <= tol * b_norm:
-            return CGReport(x, it, res, True)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return CGReport(x, max_iter, res, False)
+    return CGReport(np.ldexp(x, e), it, float(np.ldexp(res, e)), res <= threshold)
 
 
 def cg_multi(
@@ -191,57 +189,22 @@ def cg_multi(
     max_iter: Optional[int] = None,
     tag: str = "",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CG on several right-hand sides at once (columns of B), from x0 = 0.
+    """conjugate_gradient(lambda v: A @ v, column, tol, max_iter, tag) on each column of B.
 
-    Each column runs an independent CG recurrence; the iterations are merely
-    batched into single BLAS calls.  Converged columns are frozen.  Returns
-    (X, iterations_per_column, residual_norm_per_column).
+    Returns X, the iterations and the true residual norms ||B - A X|| per
+    column (scalars for a 1-d B).  The package does not call it; it stays,
+    with its argument B, only because perfbench/tracer.py wraps it by name.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     single = B.ndim == 1
     if single:
         B = B[:, None]
-    n, k = B.shape
-    if max_iter is None:
-        max_iter = 10 * n
-    SOLVE_LOG.append({"kind": "cg", "tag": tag, "n": n, "rhs": k})
     X = np.zeros_like(B)
-    R = B.copy()
-    b_norm = np.linalg.norm(B, axis=0)
-    thresholds = tol * np.where(b_norm > 0.0, b_norm, 1.0)
-    active = np.linalg.norm(R, axis=0) > thresholds
-    iters = np.zeros(k, dtype=int)
-    P = R.copy()
-    rs = np.einsum("ij,ij->j", R, R)
-    for _ in range(max_iter):
-        if not np.any(active):
-            break
-        AP = A @ P[:, active]
-        pAp = np.einsum("ij,ij->j", P[:, active], AP)
-        # curvature breakdown (pAp <= 0 only happens off the SPD contract):
-        # freeze the offending columns and let the residual gate report them
-        broken = ~(pAp > 0.0)
-        if np.any(broken):
-            idx = np.flatnonzero(active)
-            active[idx[broken]] = False
-            if not np.any(active):
-                break
-            AP = AP[:, ~broken]
-            pAp = pAp[~broken]
-        alpha = rs[active] / pAp
-        X[:, active] += alpha * P[:, active]
-        R[:, active] -= alpha * AP
-        rs_new = np.einsum("ij,ij->j", R[:, active], R[:, active])
-        if not np.all(np.isfinite(rs_new)):
-            raise FloatingPointError("NaN/Inf encountered in CG iterates")
-        iters[active] += 1
-        beta = rs_new / rs[active]
-        P[:, active] = R[:, active] + beta * P[:, active]
-        rs[active] = rs_new
-        still = np.sqrt(rs_new) > thresholds[active]
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
+    iters = np.zeros(B.shape[1], dtype=int)
+    for j, column in enumerate(B.T):
+        report = conjugate_gradient(lambda v: A @ v, column, tol, max_iter, tag)
+        X[:, j], iters[j] = report.solution, report.iterations
     res = np.linalg.norm(B - A @ X, axis=0)
     if single:
         return X[:, 0], iters[0], res[0]

@@ -287,13 +287,22 @@ def shifted_gram(
 
 
 def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
-    """Solve (K_zz + Lambda) X = B through its factor, gated on the true relative residual."""
+    """Solve (K_zz + Lambda) X = B through its factor, gated on the true relative residual.
+
+    Each column is solved and gated divided by the power of two just above its
+    largest |entry| (exact), so the gate's norms cannot under- or overflow.
+    """
+    # max|B| per column without an abs temporary; frexp gives e = 0 for a zero column
+    e = np.frexp(np.maximum(B.max(axis=0, initial=0.0), -B.min(axis=0, initial=0.0)))[1]
+    B = np.ldexp(B, -e)
     X = cho_solve(out, B)
+    R = A @ X
+    R -= B
     scale = np.linalg.norm(B, axis=0)
-    rel = np.linalg.norm(B - A @ X, axis=0) / np.where(scale > 0.0, scale, 1.0)
+    rel = np.linalg.norm(R, axis=0) / np.where(scale > 0.0, scale, 1.0)
     if not np.all(rel <= _RESIDUAL_ACCEPT):
         raise NumericalFailure(f"solve against K_zz + Lambda: worst relative residual {np.max(rel):.3e}")
-    return X
+    return np.ldexp(X, e, out=X)
 
 
 def clustered_posterior(model: ClusteredModel, query, full_cov: bool = True) -> GaussianBelief:

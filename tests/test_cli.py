@@ -744,6 +744,18 @@ def test_datasize_sweep_accepts_smallest_sizes(tmp_path):
     assert math.isfinite(rows[0]["rmse"])
 
 
+def test_datasize_sweep_provenance_names_the_kernel(tmp_path, small_csv, kernel_json):
+    matern = tmp_path / "matern.json"
+    matern.write_text(json.dumps(Kernel(Family.MATERN32, 1.0, np.array([1.0, 1.0])).to_json()))
+    hashes = set()
+    for kernel in (kernel_json, matern):
+        out = tmp_path / f"{kernel.stem}.csv"
+        args = ["datasize-sweep", str(small_csv), "--n-list", "30", "--m-list", "5", "--kernel", str(kernel)]
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        hashes.add(read_table(str(out))[0]["config_hash"])
+    assert len(hashes) == 2
+
+
 def test_tables_have_provenance_and_are_reproducible(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

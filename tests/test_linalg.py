@@ -5,7 +5,6 @@ import pytest
 
 from stablegp import (
     NumericalFailure,
-    cg_multi,
     cholesky,
     cholesky_stability_predicate,
     conjugate_gradient,
@@ -16,7 +15,7 @@ from stablegp import (
 )
 from stablegp.diagnostics import kms_cond_bounds
 from stablegp import linalg
-from stablegp.linalg import _check_symmetric
+from stablegp.linalg import _check_symmetric, cg_multi
 
 
 def random_spd(rng, n, cond):
@@ -211,18 +210,34 @@ def test_cg_zero_rhs():
     assert np.array_equal(report.solution, np.zeros(5))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_cg_solves_right_hand_sides_of_any_magnitude(scale):
+    # ||b|| underflows to 0 at the small scales and overflows to inf at the large ones
+    A = np.diag([0.5, 1.0, 2.0, 4.0])
+    b = scale * np.ones(4)
+    report = conjugate_gradient(lambda v: A @ v, b)
+    assert report.converged
+    assert np.allclose(report.solution, b / np.diag(A), rtol=1e-12, atol=0.0)
+
+
 def test_cg_multi_matches_columnwise_runs():
     rng = np.random.default_rng(4)
     A = random_spd(rng, 80, 1e3)
     B = rng.normal(size=(80, 6))
     X, iters, res = cg_multi(A, B, tol=1e-10)
-    direct = np.linalg.solve(A, B)
     assert X.shape == (80, 6)
     assert np.all(res <= 1e-10 * np.maximum(np.linalg.norm(B, axis=0), 1.0) * 1.01)
-    assert np.max(np.abs(X - direct)) <= 1e-7
-    # the true residual reported must match a recomputation
-    assert np.allclose(res, np.linalg.norm(B - A @ X, axis=0), rtol=1e-6, atol=1e-15)
     assert np.all(iters >= 1)
+    for j in range(6):
+        report = conjugate_gradient(lambda v: A @ v, B[:, j], tol=1e-10)
+        assert np.array_equal(X[:, j], report.solution)
+        assert iters[j] == report.iterations
+    assert np.max(np.abs(X - np.linalg.solve(A, B))) <= 1e-7
+    # the true residual reported must match a recomputation
+    assert np.array_equal(res, np.linalg.norm(B - A @ X, axis=0))
+    # a 1-d B gives scalars, as for a one-column B
+    x, it, r = cg_multi(A, B[:, 2], tol=1e-10)
+    assert np.array_equal(x, X[:, 2]) and it == iters[2] and r == cg_multi(A, B[:, 2:3], tol=1e-10)[2][0]
 
 
 def test_spectrum_trivial_values():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -339,6 +340,19 @@ def test_clustered_covariance_dominated_by_prior():
     belief = clustered_posterior(model, Q)
     gap_eigs = np.linalg.eigvalsh(gram(kernel, Q) - belief.cov)
     assert gap_eigs[0] >= -1e-8
+
+
+@pytest.mark.parametrize("full_cov", [True, False])
+def test_posterior_scales_with_targets_of_any_magnitude(full_cov):
+    # ||u|| overflows at 1e170 u: the residual gate must check the solve, not fail on the norm
+    kernel, _, X, y, rng = random_problem(24, 80, 2)
+    model = fit_clustered(Dataset(X, y), inducing_points(build(X, epsilon=0.8)), kernel, 0.4)
+    huge = dataclasses.replace(model, u=1e170 * model.u)
+    Q = rng.uniform(-3.0, 3.0, size=(12, 2))
+    base = clustered_posterior(model, Q, full_cov=full_cov)
+    belief = clustered_posterior(huge, Q, full_cov=full_cov)
+    np.testing.assert_allclose(belief.mean, 1e170 * base.mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(belief.var, base.var, rtol=1e-12, atol=0.0)
 
 
 def test_shifted_gram_spectrum_floor():

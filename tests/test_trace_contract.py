@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from stablegp import ClusteredModel, Family, Kernel, clustered_posterior
-from stablegp import cli
+from stablegp import cli, linalg
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -69,6 +69,25 @@ def test_posterior_counter_reads_both_return_shapes(full_cov):
     belief = clustered_posterior(model, Q, full_cov=full_cov)
     counts = call.counter({"model": model, "query": Q, "full_cov": full_cov}, belief)
     assert counts == {"queries": len(Q)}
+
+
+# CG on a diagonal matrix takes one iteration per eigenvalue the right-hand
+# side excites; column j of the upper-triangular ones excites the first j + 1
+@pytest.mark.parametrize(
+    "function, B, expected",
+    [
+        ("cg_multi", np.ones(4), {"rhs": 1, "iterations": 4, "max_iterations": 4}),
+        ("cg_multi", np.triu(np.ones((4, 4)))[:, [0, 1, 3]], {"rhs": 3, "iterations": 1 + 2 + 4, "max_iterations": 4}),
+        ("conjugate_gradient", np.ones(4), {"rhs": 1, "iterations": 4, "max_iterations": 4}),
+    ],
+    ids=["cg_multi-1d", "cg_multi-2d", "conjugate_gradient"],
+)
+def test_cg_counters_read_real_results(function, B, expected):
+    (call,) = [c for c in LAYER_CALLS if (c.module, c.function) == ("stablegp.linalg", function)]
+    A = np.diag([0.5, 1.0, 2.0, 4.0])
+    args = {"matvec": lambda v: A @ v, "b": B} if function == "conjugate_gradient" else {"A": A, "B": B}
+    result = getattr(linalg, function)(**args)
+    assert call.counter(args, result) == expected
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "fallback"])
