@@ -75,10 +75,10 @@ def _profile(family: Family, u: np.ndarray) -> np.ndarray:
 
 
 def _profile_radial_factor(family: Family, u: np.ndarray) -> np.ndarray:
-    """g(u) such that d kappa / d ls_l = g(u) * diff_l^2 / ls_l^3.
+    """g(u) such that d kappa / d log ls_l = g(u) * diff_l^2 / ls_l^2.
 
     Writing kappa as a function of u = sqrt(sum_l (diff_l/ls_l)^2), the chain
-    rule gives d kappa/d ls_l = -kappa'(u)/u * diff_l^2/ls_l^3, so
+    rule gives d kappa/d log ls_l = -kappa'(u)/u * diff_l^2/ls_l^2, so
     g(u) = -kappa'(u)/u.  For every family except Matern12 the ratio is
     analytic at u = 0; the Matern12 diagonal (u = 0 forces diff = 0) is 0.
     """
@@ -215,11 +215,12 @@ def gram(k: Kernel, A, B=None) -> np.ndarray:
 
 
 def gram_gradients(k: Kernel, A, B=None):
-    """Kernel matrix plus analytic derivatives w.r.t. variance and lengthscales.
+    """Kernel matrix plus its analytic derivatives w.r.t. the log-lengthscales.
 
-    Returns (K, dK_dvariance, dK_dls) where dK_dls is a list of one matrix per
-    input dimension.  With B omitted all three are exactly symmetric, for the
-    reason given in gram().
+    Returns (K, dK_dlogls) where dK_dlogls is a list of one matrix per input
+    dimension, dK/dlog ls_l = g(u) diff_l^2 / ls_l^2.  The derivative w.r.t.
+    log variance is K itself, so none is returned.  With B omitted every
+    matrix is exactly symmetric, for the reason given in gram().
     """
     A = _check_points(A, k.dim, "A")
     B = A if B is None else _check_points(B, k.dim, "B")
@@ -228,15 +229,14 @@ def gram_gradients(k: Kernel, A, B=None):
     G *= k.variance
     K = _profile(k.family, U)
     K *= k.variance
-    dK_dls = []
+    dK_dlogls = []
     for l in range(k.dim):
         D = np.subtract(A[:, l, None], B[None, :, l])
         D *= D
         D *= G
-        D /= k.lengthscales[l] ** 3
-        dK_dls.append(D)
-    dK_dv = K / k.variance
-    return K, dK_dv, dK_dls
+        D /= k.lengthscales[l] ** 2
+        dK_dlogls.append(D)
+    return K, dK_dlogls
 
 
 def kms_matrix(rho: float, n: int) -> np.ndarray:

@@ -298,8 +298,9 @@ def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
     X = cho_solve(out, B)
     R = A @ X
     R -= B
-    scale = np.linalg.norm(B, axis=0)
-    rel = np.linalg.norm(R, axis=0) / np.where(scale > 0.0, scale, 1.0)
+    # column norms as sqrt of sum-of-squares, with no squared temporary the size of B
+    scale = np.sqrt(np.einsum("i...,i...->...", B, B))
+    rel = np.sqrt(np.einsum("i...,i...->...", R, R)) / np.where(scale > 0.0, scale, 1.0)
     if not np.all(rel <= _RESIDUAL_ACCEPT):
         raise NumericalFailure(f"solve against K_zz + Lambda: worst relative residual {np.max(rel):.3e}")
     return np.ldexp(X, e, out=X)
@@ -364,17 +365,15 @@ def _kl(out: CholeskyOutcome, lam, v, Kv, V, Wm, w: float) -> float:
     return 0.5 * (logdet_A - float(np.sum(np.log(lam)))) - 0.5 * tr_AinvK + 0.5 * float(v @ Kv)
 
 
-def kl_to_prior(model: ClusteredModel, trace_mode: str = "exact", probes: int = 100, seed: int = 0) -> float:
+def kl_to_prior(model: ClusteredModel, probes: Optional[int] = None, seed=0) -> float:
     """KL divergence from the clustered variational posterior to the prior.
 
     0.5 ln(|K+L|/|L|) - 0.5 tr((K+L)^{-1} K) + 0.5 v^T K v with v = (K+L)^{-1} u,
     writing K for K_zz and L for Lambda.  The trace term is the only piece
-    that is estimated under trace_mode="hutchinson", with `probes` Rademacher
-    probes drawn as in training.
+    that can be estimated: exact for probes=None, otherwise from that many
+    Rademacher probes drawn from seed, as in training_objective.
     """
-    if trace_mode not in ("exact", "hutchinson"):
-        raise ValueError(f"unknown trace_mode {trace_mode!r}")
-    V, w = _trace_probes(model.m, None if trace_mode == "exact" else probes, seed)
+    V, w = _trace_probes(model.m, probes, seed)
     K = gram(model.kernel, model.z)
     A, out = shifted_gram(model, K)
     sol = _solve(A, out, np.column_stack([model.u, K @ V]))
@@ -389,31 +388,31 @@ def _objective_and_grads(
     n_total: int,
     probes: Optional[int],
     seed,
-    want_grads: bool = True,
 ):
-    """Stochastic training objective and its analytic gradients.
+    """Stochastic training objective and its analytic gradient in log-parameters.
 
-    Returns (value, grads) with grads a dict holding d/dvariance,
-    d/dlengthscales (vector), d/dsigma2; grads is None when want_grads is
-    false.  Every solve goes through the zero-jitter Cholesky factor of
-    A = K_zz + Lambda.  The KL trace terms are read off the probes V of
-    _trace_probes: probes=None makes V the identity and the traces exact, an
-    integer estimates them with that many Hutchinson probes.
+    Returns (value, g) with g the gradient w.r.t. (log variance, log
+    lengthscales..., log sigma^2), the coordinates train steps in.  Every
+    solve goes through the zero-jitter Cholesky factor of A = K_zz + Lambda.
+    The KL trace terms are read off the probes V of _trace_probes:
+    probes=None makes V the identity and the traces exact, an integer
+    estimates them with that many Hutchinson probes.
 
     In the gradient of the KL term the 0.5 tr(A^{-1} dK) contributions of the
     log-determinant and the trace term cancel exactly.  What remains, with
     the data fit, is linear in dK_zz and dK_zb, so each kernel parameter's
     gradient is sum(dK_zz * P) + sum(dK_zb * Pb) for two adjoints P and Pb
-    formed once per step; the noise enters through dA = dLambda = diag(lam_dot).
+    formed once per step.  d/dlog variance of K_zz and K_zb is K_zz and K_zb
+    themselves, and the noise enters through dA = dLambda/dlog sigma^2 = Lambda.
     """
     k = model.kernel
     sigma2 = model.noise_sigma2
     b = Xb.shape[0]
     c = n_total / b / (2.0 * sigma2)  # weight of the batch's squared error
 
-    K, dK_dv, dK_dls = gram_gradients(k, model.z)
+    K, dK_dlogls = gram_gradients(k, model.z)
     A, out = shifted_gram(model, K)
-    kb, dkb_dv, dkb_dls = gram_gradients(k, model.z, Xb)
+    kb, dkb_dlogls = gram_gradients(k, model.z, Xb)
     V, w = _trace_probes(model.m, probes, seed)
     p = V.shape[1]
     sol = _solve(A, out, np.column_stack([model.u, kb, V, K @ V]))
@@ -424,19 +423,15 @@ def _objective_and_grads(
     sq = float(np.sum(resid**2 + k.variance - np.einsum("mb,mb->b", kb, W)))
     value = _kl(out, model.lam, v, Kv, V, Wm, w) + 0.5 * n_total * math.log(2.0 * math.pi * sigma2) + c * sq
 
-    if not want_grads:
-        return value, None
-
     t2 = _solve(A, out, Kv)
     P = 0.5 * w * (T @ Wm.T) + np.outer(0.5 * v - t2 + 2.0 * c * (W @ resid), v) + c * (W @ W.T)
     Pb = -2.0 * c * (np.outer(v, resid) + W)
     # np.vdot of two real matrices is the sum of their elementwise product
-    g = [np.vdot(dK, P) + np.vdot(dkb, Pb) for dK, dkb in zip([dK_dv] + dK_dls, [dkb_dv] + dkb_dls)]
-    lam_dot = model.lam / sigma2  # dLambda/dsigma2, entrywise
+    g = [np.vdot(dK, P) + np.vdot(dkb, Pb) for dK, dkb in zip([K] + dK_dlogls, [kb] + dkb_dlogls)]
+    g[0] += c * b * k.variance  # d/dlog variance of the data fit's c * sum_b k(x, x)
     Ainv_diag = w * np.einsum("mp,mp->m", T, V)  # diag(A^{-1}) read through the probes
-    g_sigma2 = float(lam_dot @ (np.diag(P) + 0.5 * (Ainv_diag - v * v)))
-    g_sigma2 += (n_total - model.m) / (2.0 * sigma2) - c * sq / sigma2
-    return value, {"variance": float(g[0]) + c * b, "lengthscales": np.array(g[1:]), "sigma2": g_sigma2}
+    g.append(model.lam @ (np.diag(P) + 0.5 * (Ainv_diag - v * v)) + 0.5 * (n_total - model.m) - c * sq)
+    return value, np.array(g)
 
 
 def training_objective(
@@ -445,8 +440,7 @@ def training_objective(
     """Minimization target: KL to the prior plus the rescaled batch data fit."""
     if batch.n == 0:
         raise ValueError("batch must be nonempty")
-    value, _ = _objective_and_grads(model, batch.X, batch.y, n_total, probes, seed, want_grads=False)
-    return value
+    return _objective_and_grads(model, batch.X, batch.y, n_total, probes, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -464,6 +458,14 @@ class TrainResult:
     history: list  # (step, objective) pairs
 
 
+def _with_log_params(model: ClusteredModel, p: np.ndarray) -> ClusteredModel:
+    """model with (variance, lengthscales..., sigma^2) = exp(p) and Lambda = sigma^2 / N_cl."""
+    theta = np.exp(p)
+    sigma2 = float(theta[-1])
+    kernel = Kernel(model.kernel.family, float(theta[0]), theta[1:-1])
+    return ClusteredModel(kernel, sigma2, model.z, model.u, sigma2 / model.cluster_counts, model.cluster_counts)
+
+
 def train(model: ClusteredModel, data: Dataset, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Stochastic training of kernel hyperparameters and noise.
 
@@ -473,32 +475,27 @@ def train(model: ClusteredModel, data: Dataset, config: TrainConfig = TrainConfi
     """
     if config.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if config.steps < 0:
+        raise ValueError("steps must be >= 0")
+    if not 0.0 < config.step_size < math.inf:
+        raise ValueError("step_size must be finite and positive")
     if config.steps == 0:
         return TrainResult(model, [])
-    counts = model.cluster_counts
     p = np.log(np.concatenate([[model.kernel.variance], model.kernel.lengthscales, [model.noise_sigma2]]))
-    n_ls = len(model.kernel.lengthscales)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     m1 = np.zeros_like(p)
     m2 = np.zeros_like(p)
     history = []
-    current = model
     for step in range(config.steps):
-        theta = np.exp(p)
-        kernel = Kernel(model.kernel.family, float(theta[0]), theta[1 : 1 + n_ls])
-        sigma2 = float(theta[-1])
-        current = ClusteredModel(kernel, sigma2, model.z, model.u, sigma2 / counts, counts)
         rng = np.random.default_rng((config.seed, step))
         bsz = min(config.batch_size, data.n)
         idx = rng.choice(data.n, size=bsz, replace=False)
-        value, grads = _objective_and_grads(
-            current, data.X[idx], data.y[idx], data.n, config.probes, (config.seed, step, 1)
+        value, g = _objective_and_grads(
+            _with_log_params(model, p), data.X[idx], data.y[idx], data.n, config.probes, (config.seed, step, 1)
         )
-        g_theta = np.concatenate([[grads["variance"]], grads["lengthscales"], [grads["sigma2"]]])
-        g = g_theta * theta  # chain rule through the log parameterization
         if not np.all(np.isfinite(g)):
             raise NumericalFailure(
-                f"non-finite gradient at step {step}: theta={theta.tolist()}, grad={g_theta.tolist()}"
+                f"non-finite gradient at step {step}: log-parameters {p.tolist()}, gradient {g.tolist()}"
             )
         history.append((step, value))
         m1 = beta1 * m1 + (1.0 - beta1) * g
@@ -506,8 +503,4 @@ def train(model: ClusteredModel, data: Dataset, config: TrainConfig = TrainConfi
         m1_hat = m1 / (1.0 - beta1 ** (step + 1))
         m2_hat = m2 / (1.0 - beta2 ** (step + 1))
         p = p - config.step_size * m1_hat / (np.sqrt(m2_hat) + adam_eps)
-    theta = np.exp(p)
-    kernel = Kernel(model.kernel.family, float(theta[0]), theta[1 : 1 + n_ls])
-    sigma2 = float(theta[-1])
-    final = ClusteredModel(kernel, sigma2, model.z, model.u, sigma2 / counts, counts)
-    return TrainResult(final, history)
+    return TrainResult(_with_log_params(model, p), history)
