@@ -189,12 +189,10 @@ def build(
     dists_to_root = _cross_distances(X, root_loc[None, :])[:, 0]
     d_max = float(dists_to_root.max())
 
-    if d_max <= epsilon:
-        # Degenerate spread: one level-1 node at the mean already covers the
-        # data at resolution epsilon, and log2(d_max/eps) is nonpositive.
-        return _degenerate_tree(X, epsilon, d_max, root_loc, seed, lloyd_averaging, voronoi_repartition)
-
-    L = max(1, math.ceil(math.log2(d_max / epsilon)))
+    # Degenerate spread (d_max <= epsilon, where log2(d_max / epsilon) is
+    # nonpositive): one level-1 node at the mean covers the data.
+    degenerate = d_max <= epsilon
+    L = 1 if degenerate else math.ceil(math.log2(d_max / epsilon))
     # The level-0 radius must dominate d_max in exact float comparison, not
     # merely up to log/exp rounding.  The guess never overshoots the least
     # such L: d_max <= ldexp(epsilon, k) makes the rounded quotient at most
@@ -210,8 +208,11 @@ def build(
 
     root = CoverTreeNode(location=root_loc, parent=None, r_neighbors=[0], assigned=np.arange(n))
     levels = [[root]]
+    if degenerate:
+        root.children.append(0)
+        levels.append([CoverTreeNode(location=root_loc.copy(), parent=0, r_neighbors=[0], assigned=np.arange(n))])
 
-    for ell in range(1, L + 1):
+    for ell in range(len(levels), L + 1):
         R = radii[ell]
         prev = levels[ell - 1]
         pools = [node.assigned for node in prev]
@@ -310,26 +311,6 @@ def build(
         seed=seed,
         lloyd_averaging=lloyd_averaging,
         voronoi_repartition=voronoi_repartition,
-    )
-
-
-def _degenerate_tree(X, epsilon, d_max, root_loc, seed, lloyd, voronoi) -> CoverTree:
-    n = X.shape[0]
-    L = 1
-    radii = [math.ldexp(epsilon, 1), epsilon]
-    neighbor_radii = [4.0 * radii[0], 4.0 * radii[1]]
-    root = CoverTreeNode(location=root_loc, parent=None, children=[0], r_neighbors=[0], assigned=np.arange(n))
-    only = CoverTreeNode(location=root_loc.copy(), parent=0, r_neighbors=[0], assigned=np.arange(n))
-    return CoverTree(
-        epsilon=epsilon,
-        d_max=d_max,
-        L=L,
-        radii=radii,
-        neighbor_radii=neighbor_radii,
-        levels=[[root], [only]],
-        seed=seed,
-        lloyd_averaging=lloyd,
-        voronoi_repartition=voronoi,
     )
 
 

@@ -1,21 +1,21 @@
 """Conditioning-aware dense linear algebra.
 
-Cholesky with jitter escalation that returns a factor or raises
+Cholesky that returns a factor of the matrix itself or raises
 NumericalFailure, conjugate gradients with iteration accounting, exact
 extremal eigenvalues and condition numbers, Hutchinson trace estimation, and
-the closed-form 2-Wasserstein distance between Gaussians.
-
-Every factorization and solve performed through this module is appended to
-SOLVE_LOG (kind, tag, n and, for cho_solve, the number of right-hand sides;
-cg_multi logs one CG entry per column), which is how the no-bare-K_zz
-discipline of the sparse GP fitting path is asserted in tests.
+the closed-form 2-Wasserstein distance between Gaussians.  It holds no
+numerical policy (a caller that wants jitter shifts the matrix itself) and
+keeps no record: only inside a `with solve_log() as log:` block is each
+factorization and solve made here appended to log, which is how tests
+assert the no-bare-K_zz discipline of the sparse GP fitting path.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy import linalg as sla
@@ -25,8 +25,7 @@ __all__ = [
     "CholeskyOutcome",
     "CGReport",
     "SpectrumSummary",
-    "SOLVE_LOG",
-    "reset_solve_log",
+    "solve_log",
     "cholesky",
     "cho_solve",
     "conjugate_gradient",
@@ -38,27 +37,34 @@ __all__ = [
 
 CG_DEFAULT_TOL = 1e-8
 
-# Jitter schedule of cholesky(jitter=True), relative to s, the mean diagonal
-# of the matrix (1 when that is not positive): after A itself fails, A + j I
-# is tried for j = 1e-6 s, growing tenfold while j <= 1e-2 s.
-_JITTER_FIRST = 1e-6
-_JITTER_GROWTH = 10.0
-_JITTER_LAST = 1e-2
-
 
 class NumericalFailure(RuntimeError):
     """A linear solve or factorization failed beyond recovery."""
 
-# Global append-only record of solves/factorizations: dicts with keys
-# kind ("cholesky" | "cho_solve" | "cg"), tag (caller-supplied label, which a
-# cho_solve inherits from its factorization), n (system size) and, for
-# cho_solve, rhs (number of right-hand sides).  cg_multi appends one
-# {"kind": "cg", tag, n} entry per column of B.
-SOLVE_LOG: list[dict] = []
+# The logs of the open solve_log() blocks, keyed by id so equal logs stay apart.
+_OPEN_LOGS: dict[int, list] = {}
 
 
-def reset_solve_log() -> None:
-    SOLVE_LOG.clear()
+@contextmanager
+def solve_log() -> Iterator[list]:
+    """A list that receives every factorization and solve made while the block is open.
+
+    Entries are dicts: kind ("cholesky" | "cho_solve" | "cg"), tag (a
+    cho_solve inherits its factorization's), n and, for cho_solve, rhs;
+    cg_multi records one "cg" entry per column of B.  Nested blocks each get
+    every entry.
+    """
+    log: list[dict] = []
+    _OPEN_LOGS[id(log)] = log
+    try:
+        yield log
+    finally:
+        del _OPEN_LOGS[id(log)]
+
+
+def _record(entry: dict) -> None:
+    for log in _OPEN_LOGS.values():
+        log.append(entry)
 
 
 @dataclass(frozen=True)
@@ -98,44 +104,24 @@ def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     return A
 
 
-def _shifts(A: np.ndarray, jitter: bool):
-    """The diagonal shifts cholesky tries, in order: 0, then with jitter the schedule."""
-    yield 0.0
-    if not jitter:
-        return
-    mean_diag = float(np.mean(np.diag(A)))
-    scale = mean_diag if mean_diag > 0.0 else 1.0
-    shift, last = _JITTER_FIRST * scale, _JITTER_LAST * scale
-    while 0.0 < shift <= last and math.isfinite(shift):
-        yield shift
-        shift *= _JITTER_GROWTH
+def cholesky(A: np.ndarray, tag: str = "") -> CholeskyOutcome:
+    """Lower Cholesky factor of A itself, or NumericalFailure naming the tag and n.
 
-
-def cholesky(A: np.ndarray, jitter: bool = True, tag: str = "") -> CholeskyOutcome:
-    """Lower Cholesky factor of A, or NumericalFailure.
-
-    Tries A itself first.  With jitter, each failure retries A + j I with the
-    next shift of the module's schedule (1e-6 to 1e-2 times the mean
-    diagonal); without it, the first failure raises.  The error names the
-    tag, n and the largest jitter tried.
+    No jitter is ever added, so jitter_used is always 0.
     """
     A = _check_symmetric(A)
     n = A.shape[0]
-    SOLVE_LOG.append({"kind": "cholesky", "tag": tag, "n": n})
-    tried = 0.0
-    for shift in _shifts(A, jitter):
-        try:
-            L = sla.cholesky(A if shift == 0.0 else A + shift * np.eye(n), lower=True, check_finite=False)
-            return CholeskyOutcome(L, shift, tag)
-        except np.linalg.LinAlgError:
-            tried = shift
-    raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}, largest jitter tried {tried:.3g}")
+    _record({"kind": "cholesky", "tag": tag, "n": n})
+    try:
+        return CholeskyOutcome(sla.cholesky(A, lower=True, check_finite=False), 0.0, tag)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}") from None
 
 
 def cho_solve(outcome: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = B given a factorization."""
     rhs = 1 if np.ndim(B) == 1 else np.shape(B)[1]
-    SOLVE_LOG.append({"kind": "cho_solve", "tag": outcome.tag, "n": outcome.factor.shape[0], "rhs": rhs})
+    _record({"kind": "cho_solve", "tag": outcome.tag, "n": outcome.factor.shape[0], "rhs": rhs})
     return sla.cho_solve((outcome.factor, True), B, check_finite=False)
 
 
@@ -159,7 +145,7 @@ def conjugate_gradient(
         max_iter = 10 * n
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    SOLVE_LOG.append({"kind": "cg", "tag": tag, "n": n})
+    _record({"kind": "cg", "tag": tag, "n": n})
     e = math.frexp(float(np.abs(b).max(initial=0.0)))[1]
     b = np.ldexp(b, -e)
     x, r, p = np.zeros_like(b), b, b
@@ -192,8 +178,10 @@ def cg_multi(
     """conjugate_gradient(lambda v: A @ v, column, tol, max_iter, tag) on each column of B.
 
     Returns X, the iterations and the true residual norms ||B - A X|| per
-    column (scalars for a 1-d B).  The package does not call it; it stays,
-    with its argument B, only because perfbench/tracer.py wraps it by name.
+    column (scalars for a 1-d B), by BLAS nrm2, which does not overflow or
+    underflow where the norm itself is representable.  The package does not
+    call it; it stays, with its argument B, only because perfbench/tracer.py
+    wraps it by name.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -205,7 +193,7 @@ def cg_multi(
     for j, column in enumerate(B.T):
         report = conjugate_gradient(lambda v: A @ v, column, tol, max_iter, tag)
         X[:, j], iters[j] = report.solution, report.iterations
-    res = np.linalg.norm(B - A @ X, axis=0)
+    res = np.array([sla.norm(column, check_finite=False) for column in (B - A @ X).T])
     if single:
         return X[:, 0], iters[0], res[0]
     return X, iters, res

@@ -12,7 +12,7 @@ by a plain Cholesky with no jitter (shifted_gram), and every solve goes
 through that factor.  The exact GP is the clustered model with one point
 per cluster (z = X, u = y, Lambda = sigma^2 I) and takes the same path; a
 failed factorization or solve raises NumericalFailure.  Only the baseline,
-which must factor K_zz itself, uses linalg.cholesky's jitter schedule.
+which must factor K_zz itself, adds jitter, in _jittered_cholesky alone.
 sample_targets draws synthetic targets from N(0, K_xx + sigma^2 I) through
 the factor the exact posterior given them uses, so a synthetic problem
 costs one Cholesky.  The training loop optimizes kernel hyperparameters
@@ -103,12 +103,14 @@ class ExactGP:
     y: np.ndarray
 
     def __post_init__(self):
-        if not self.noise_sigma2 > 0.0:
-            raise ValueError("noise_sigma2 must be positive")
+        if not 0.0 < self.noise_sigma2 < math.inf:
+            raise ValueError("noise_sigma2 must be finite and positive")
         X = _as_matrix(self.X) if np.size(self.X) else np.zeros((0, self.kernel.dim))
         y = np.ascontiguousarray(self.y, dtype=float).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise ValueError("y length must match X rows")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("X and y must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -220,21 +222,46 @@ def sample_targets(
     return y, _posterior(_exact_as_clustered(kernel, sigma2, X, y), query, True, (A, out))
 
 
+def _jittered_cholesky(K: np.ndarray, tag: str) -> CholeskyOutcome:
+    """Factor of K + j I for the first shift j that factors, or NumericalFailure.
+
+    The shifts are 0, then 1e-6 s growing tenfold while j <= 1e-2 s, with s
+    the mean diagonal of K (1 if that is not positive), one cholesky call
+    each.  The error names the tag, n and the largest jitter tried.
+    """
+    n = K.shape[0]
+    try:
+        return cholesky(K, tag)
+    except NumericalFailure:
+        pass
+    tried = 0.0
+    mean_diag = float(np.mean(np.diag(K)))
+    scale = mean_diag if mean_diag > 0.0 else 1.0
+    shift, last = 1e-6 * scale, 1e-2 * scale
+    while 0.0 < shift <= last and math.isfinite(shift):
+        try:
+            return CholeskyOutcome(cholesky(K + shift * np.eye(n), tag).factor, shift, tag)
+        except NumericalFailure:
+            tried = shift
+        shift *= 10.0
+    raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}, largest jitter tried {tried:.3g}")
+
+
 def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> GaussianBelief:
     """Collapsed variational posterior with free inducing points.
 
     This baseline substitutes the analytically optimal q(u), which requires
     solving against K_zz itself; that is exactly the step the clustered
-    approximation avoids, and the reason this path factors with jitter.
+    approximation avoids, and the reason this path factors K_zz with jitter.
     """
     Q = _as_matrix(query)
     Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
     k = model.kernel
     sigma2 = model.noise_sigma2
-    K_zz = gram(k, Z)
-    out = cholesky(K_zz, tag="kzz_sgpr")
+    out = _jittered_cholesky(gram(k, Z), "kzz_sgpr")
     L = out.factor
     A = solve_triangular(L, gram(k, Z, model.X), lower=True, check_finite=False)
+    # every eigenvalue of B is >= 1, so it factors without jitter
     B = np.eye(Z.shape[0]) + (A @ A.T) / sigma2
     out_b = cholesky(B, tag="sgpr_inner")
     C = solve_triangular(L, gram(k, Z, Q), lower=True, check_finite=False)
@@ -283,7 +310,7 @@ def shifted_gram(
     """
     A = gram(model.kernel, model.z) if K is None else K.copy()
     A[np.diag_indices_from(A)] += model.lam
-    return A, cholesky(A, jitter=False, tag="kzz_plus_lambda")
+    return A, cholesky(A, tag="kzz_plus_lambda")
 
 
 def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:

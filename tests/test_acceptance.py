@@ -38,7 +38,7 @@ from stablegp import (
     TrainConfig,
 )
 from stablegp.cli import kms_demo_rows, sweep_resolution_rows
-from stablegp.linalg import SOLVE_LOG, reset_solve_log
+from stablegp.linalg import solve_log
 
 FAMILIES = [Family.SQUARED_EXPONENTIAL, Family.MATERN12, Family.MATERN32, Family.MATERN52]
 
@@ -376,14 +376,13 @@ def test_criterion_8_no_bare_inducing_solves(acceptance_log):
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.8, 0.8]))
     tree = build(X, epsilon=0.8)
 
-    reset_solve_log()
-    model = fit_clustered(data, inducing_points(tree), kernel, 0.3)
-    clustered_posterior(model, rng.uniform(-4.0, 4.0, size=(16, 2)))
-    kl_to_prior(model)
-    kl_to_prior(model, probes=32, seed=1)
-    training_objective(model, data, data.n)
-    train(model, data, TrainConfig(steps=3, batch_size=128, probes=4, seed=0))
-    entries = list(SOLVE_LOG)
+    with solve_log() as entries:
+        model = fit_clustered(data, inducing_points(tree), kernel, 0.3)
+        clustered_posterior(model, rng.uniform(-4.0, 4.0, size=(16, 2)))
+        kl_to_prior(model)
+        kl_to_prior(model, probes=32, seed=1)
+        training_objective(model, data, data.n)
+        train(model, data, TrainConfig(steps=3, batch_size=128, probes=4, seed=0))
 
     bare = [e for e in entries if e["tag"] != "kzz_plus_lambda"]
     passed = len(entries) > 0 and not bare

@@ -617,7 +617,7 @@ def test_sweep_resolution_table(tmp_path, monkeypatch):
 
 
 def factored_in_sweep(monkeypatch):
-    """SOLVE_LOG's Cholesky entries and every matrix factored by a small two-d sweep."""
+    """The solve log's Cholesky entries and every matrix factored by a small two-d sweep."""
     from scipy import linalg as sla
 
     from stablegp import linalg
@@ -630,10 +630,10 @@ def factored_in_sweep(monkeypatch):
         return factor(A, **kwargs)
 
     monkeypatch.setattr(linalg.sla, "cholesky", recording_cholesky)
-    linalg.reset_solve_log()
-    rows = cli.sweep_resolution_rows(d_list=[1, 2], n=300, epsilons=[0.3, 1.2], seeds=[0], sigma2=0.1)
+    with linalg.solve_log() as log:
+        rows = cli.sweep_resolution_rows(d_list=[1, 2], n=300, epsilons=[0.3, 1.2], seeds=[0], sigma2=0.1)
     assert all(row["status"] == "ok" for row in rows)
-    return [e for e in linalg.SOLVE_LOG if e["kind"] == "cholesky"], matrices
+    return [e for e in log if e["kind"] == "cholesky"], matrices
 
 
 def test_sweep_factors_one_size_n_matrix_per_problem(monkeypatch):

@@ -30,7 +30,8 @@ from stablegp import (
 )
 from stablegp import sgp
 from stablegp.cli import EXIT_NUMERICAL, main
-from stablegp.linalg import SOLVE_LOG, reset_solve_log
+from stablegp import linalg
+from stablegp.linalg import solve_log
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,25 @@ def test_exact_posterior_matches_dense_oracle():
     assert np.max(np.abs(belief.cov - cov)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("X", math.nan), ("X", math.inf), ("y", math.nan), ("y", -math.inf), ("noise_sigma2", math.nan),
+     ("noise_sigma2", math.inf)],
+)
+def test_exact_gp_rejects_non_finite_input(field, bad):
+    # without the check, sgpr_posterior returned a NaN mean or, for an
+    # infinite noise, the prior
+    kernel, sigma2, X, y, _ = random_problem(2, 6, 2)
+    fields = {"X": X, "y": y, "noise_sigma2": sigma2}
+    if field == "noise_sigma2":
+        fields[field] = bad
+    else:
+        fields[field] = fields[field].copy()
+        fields[field].flat[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ExactGP(kernel, **fields)
+
+
 def test_singular_exact_gp_raises_instead_of_jittering():
     # two coincident inputs and a noise far below the rounding of the unit
     # diagonal: K_xx + sigma^2 I is singular in double precision
@@ -143,30 +163,68 @@ def test_exact_posterior_solves_are_residual_gated(monkeypatch):
 
 def test_only_the_sgpr_baseline_factors_with_jitter(monkeypatch):
     calls = []
-    factor = sgp.cholesky
+    factor = sgp._jittered_cholesky
 
-    def spy(A, jitter=True, tag=""):
-        calls.append((tag, jitter))
-        return factor(A, jitter=jitter, tag=tag)
+    def spy(K, tag):
+        calls.append(tag)
+        return factor(K, tag)
 
-    monkeypatch.setattr(sgp, "cholesky", spy)
+    monkeypatch.setattr(sgp, "_jittered_cholesky", spy)
     kernel, sigma2, X, y, rng = random_problem(24, 120, 2)
     data = Dataset(X, y)
     Q = rng.uniform(-3.0, 3.0, size=(5, 2))
-    model = fit_clustered(data, inducing_points(build(X, epsilon=0.7)), kernel, sigma2)
-    exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
-    sample_targets(kernel, sigma2, X, 0, Q)
-    clustered_posterior(model, Q)
-    clustered_posterior(model, Q, full_cov=False)
-    kl_to_prior(model)
-    kl_to_prior(model, probes=16, seed=0)
-    training_objective(model, data, data.n)
-    train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
-    assert len(calls) > 8
-    assert all(jitter is False for _, jitter in calls)
-    calls.clear()
+    with solve_log() as log:
+        model = fit_clustered(data, inducing_points(build(X, epsilon=0.7)), kernel, sigma2)
+        exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+        sample_targets(kernel, sigma2, X, 0, Q)
+        clustered_posterior(model, Q)
+        clustered_posterior(model, Q, full_cov=False)
+        kl_to_prior(model)
+        kl_to_prior(model, probes=16, seed=0)
+        training_objective(model, data, data.n)
+        train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
+    assert len([e for e in log if e["kind"] == "cholesky"]) > 8
+    assert calls == []
     sgpr_posterior(ExactGP(kernel, sigma2, X, y), model.z, Q)
-    assert calls == [("kzz_sgpr", True), ("sgpr_inner", True)]
+    assert calls == ["kzz_sgpr"]
+
+
+def test_jittered_cholesky_escalates_and_reconstructs():
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    out = sgp._jittered_cholesky(A, "pair")
+    assert 0.0 < out.jitter_used <= 1e-2
+    assert out.tag == "pair"
+    rebuilt = out.factor @ out.factor.T
+    target = A + out.jitter_used * np.eye(2)
+    assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(A)
+    out = sgp._jittered_cholesky(np.eye(3), "identity")
+    assert out.jitter_used == 0.0 and np.array_equal(out.factor, np.eye(3))
+    with solve_log() as log:
+        with pytest.raises(NumericalFailure) as err:
+            sgp._jittered_cholesky(-np.eye(4), "negated")
+    assert str(err.value) == "Cholesky factorization 'negated' failed: n=4, largest jitter tried 0.01"
+    # one logged factorization per shift tried: 0, then 1e-6 to 1e-2
+    assert log == [{"kind": "cholesky", "tag": "negated", "n": 4}] * 6
+
+
+def test_jittered_cholesky_schedule(monkeypatch):
+    # Shifts tried: 0, then 1e-6 s growing tenfold up to 1e-2 s, where s is
+    # the mean diagonal, or 1 when that is not positive.
+    tried = []
+
+    def failing(M, **kwargs):
+        tried.append(M[0, 0] - A[0, 0])
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(linalg.sla, "cholesky", failing)
+    for diag, scale in ((4.0, 4.0), (-3.0, 1.0), (0.0, 1.0)):
+        A = np.diag([diag, diag, diag])
+        tried.clear()
+        with pytest.raises(NumericalFailure):
+            sgp._jittered_cholesky(A, "")
+        want = [0.0] + [scale * 1e-6 * 10.0**k for k in range(5)]
+        # M[0, 0] - A[0, 0] rounds the shift at the scale of the diagonal
+        assert tried == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +435,22 @@ def test_solve_gate_holds_no_squared_temporary_the_size_of_the_right_hand_sides(
     assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
 
 
+def test_posterior_calls_outside_a_solve_log_keep_no_memory():
+    kernel, sigma2, X, y, rng = random_problem(25, 200, 2)
+    model = fit_clustered(Dataset(X, y), X[:20], kernel, sigma2)
+    Q = rng.uniform(-3.0, 3.0, size=(3, 2))
+    clustered_posterior(model, Q)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(2000):
+            clustered_posterior(model, Q)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+
+
 def test_shifted_gram_spectrum_floor():
     kernel, _, X, y, _ = random_problem(23, 100, 2)
     tree = build(X, epsilon=0.6)
@@ -391,18 +465,18 @@ def test_no_solver_touches_unshifted_inducing_gram():
     kernel, _, X, y, rng = random_problem(24, 120, 2)
     data = Dataset(X, y)
     tree = build(X, epsilon=0.7)
-    reset_solve_log()
-    model = fit_clustered(data, inducing_points(tree), kernel, 0.4)
-    Q = rng.uniform(-3.0, 3.0, size=(5, 2))
-    clustered_posterior(model, Q)
-    clustered_posterior(model, Q, full_cov=False)
-    kl_to_prior(model)
-    kl_to_prior(model, probes=16, seed=0)
-    training_objective(model, data, data.n)
-    train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
-    assert len(SOLVE_LOG) > 0
-    assert any(entry["kind"] == "cho_solve" for entry in SOLVE_LOG)
-    assert all(entry["tag"] == "kzz_plus_lambda" for entry in SOLVE_LOG)
+    with solve_log() as log:
+        model = fit_clustered(data, inducing_points(tree), kernel, 0.4)
+        Q = rng.uniform(-3.0, 3.0, size=(5, 2))
+        clustered_posterior(model, Q)
+        clustered_posterior(model, Q, full_cov=False)
+        kl_to_prior(model)
+        kl_to_prior(model, probes=16, seed=0)
+        training_objective(model, data, data.n)
+        train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
+    assert len(log) > 0
+    assert any(entry["kind"] == "cho_solve" for entry in log)
+    assert all(entry["tag"] == "kzz_plus_lambda" for entry in log)
 
 
 def test_singular_shifted_gram_raises_instead_of_jittering(tmp_path):
@@ -621,14 +695,14 @@ def test_train_factors_once_and_solves_twice_per_step():
     data = Dataset(X, y)
     model = fit_clustered(data, inducing_points(build(X, epsilon=0.8)), kernel, 0.3)
     b, p = 40, 5
-    reset_solve_log()
-    train(model, data, TrainConfig(steps=3, batch_size=b, probes=p, seed=4))
+    with solve_log() as log:
+        train(model, data, TrainConfig(steps=3, batch_size=b, probes=p, seed=4))
     step = [
         {"kind": "cholesky", "tag": "kzz_plus_lambda", "n": model.m},
         {"kind": "cho_solve", "tag": "kzz_plus_lambda", "n": model.m, "rhs": 1 + b + 2 * p},
         {"kind": "cho_solve", "tag": "kzz_plus_lambda", "n": model.m, "rhs": 1},
     ]
-    assert SOLVE_LOG == 3 * step
+    assert log == 3 * step
 
 
 def test_train_seed_determinism():
@@ -707,9 +781,9 @@ def test_sample_targets_empirical_covariance():
 def test_sample_targets_posterior_is_exact_posterior_through_one_factor():
     kernel, sigma2, X, _, rng = random_problem(61, 40, 2)
     Q = rng.uniform(-3.0, 3.0, size=(7, 2))
-    reset_solve_log()
-    y, belief = sample_targets(kernel, sigma2, X, 3, Q)
-    factored = [e for e in SOLVE_LOG if e["kind"] == "cholesky"]
+    with solve_log() as log:
+        y, belief = sample_targets(kernel, sigma2, X, 3, Q)
+    factored = [e for e in log if e["kind"] == "cholesky"]
     assert factored == [{"kind": "cholesky", "tag": "kzz_plus_lambda", "n": 40}]
     assert np.array_equal(y, sample_targets(kernel, sigma2, X, seed=3)[0])
     want = exact_posterior(ExactGP(kernel, sigma2, X, y), Q)

@@ -90,6 +90,12 @@ def test_cg_counters_read_real_results(function, B, expected):
     assert call.counter(args, result) == expected
 
 
+def test_cholesky_counter_reads_a_real_factorization():
+    (call,) = [c for c in LAYER_CALLS if (c.module, c.function) == ("stablegp.linalg", "cholesky")]
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    assert call.counter({"A": A}, linalg.cholesky(A)) == {"jitter_max": 0.0}
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "fallback"])
 @pytest.mark.parametrize("has_y", [True, False])
 def test_load_csv_counter_reads_both_parse_paths(tmp_path, monkeypatch, quoted, has_y):
