@@ -206,7 +206,14 @@ def _write_json(path: str, obj) -> None:
         fh.write(text + "\n")
 
 
-def write_table(path: str, command: str, config: dict, fieldnames: list, rows: list) -> None:
+def write_table(path: str, args: argparse.Namespace, fieldnames: list, rows: list) -> None:
+    """Write rows as CSV under a provenance header, plus a JSON sidecar of the config.
+
+    The config is every operand and flag parsed for args.command, --out
+    aside, so a table records exactly what the parser declares.
+    """
+    command = args.command
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     digest = _config_hash(config)
     with open(path, "w", newline="") as fh:
         fh.write(f"# command={command}\n")
@@ -441,7 +448,6 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
                 except (NumericalFailure, FloatingPointError) as e:
                     row.update(m="", cond="", rmse="", status=f"error: {e}")
                 rows.append(row)
-    rows.sort(key=lambda r: (r["n"], r["m_requested"], r["method"]))
     return rows
 
 
@@ -451,10 +457,11 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
 
 def cmd_select(args) -> int:
     data = load_csv(args.data)
+    needed = "epsilon" if args.method == "covertree" else "m"
+    if getattr(args, needed) is None:
+        raise UsageError(f"--{needed} is required for method={args.method}")
     t0 = time.perf_counter()
     if args.method == "covertree":
-        if args.epsilon is None:
-            raise UsageError("--epsilon is required for method=covertree")
         tree = ct.build(
             data.X,
             args.epsilon,
@@ -464,12 +471,8 @@ def cmd_select(args) -> int:
         )
         z = ct.inducing_points(tree)
     elif args.method == "uniform":
-        if args.m is None:
-            raise UsageError("--m is required for method=uniform")
         z = ct.select_uniform(data.X, args.m, args.seed)
     else:
-        if args.m is None:
-            raise UsageError("--m is required for method=kmeans")
         z = ct.select_kmeans(data.X, args.m, args.kmeans_iters, args.seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     if args.method == "covertree" and not args.no_voronoi:
@@ -516,14 +519,7 @@ def cmd_fit(args) -> int:
             raise
         model, history = result.model, result.history
     _write_json(args.out, model.to_json())
-    config_dict = {
-        "data": args.data, "z": args.z, "kernel": args.kernel, "sigma2": args.sigma2,
-        "steps": args.steps, "batch": args.batch, "lr": args.lr, "probes": args.probes, "seed": args.seed,
-    }
-    write_table(
-        args.out + ".log.csv", "fit", config_dict, ["step", "objective"],
-        [{"step": s, "objective": o} for s, o in history],
-    )
+    write_table(args.out + ".log.csv", args, ["step", "objective"], [{"step": s, "objective": o} for s, o in history])
     print(f"wrote {args.out}: M={model.m}, steps={args.steps}")
     return EXIT_OK
 
@@ -535,9 +531,8 @@ def cmd_predict(args) -> int:
         raise UsageError(f"query dimension {Xq.shape[1]} does not match model dimension {model.z.shape[1]}")
     belief = clustered_posterior(model, Xq, full_cov=False)
     stddev = np.sqrt(np.clip(belief.var, 0.0, None))
-    config_dict = {"model": args.model, "query": args.query, "seed": 0}
-    rows = [{"mean": repr(float(m)), "stddev": repr(float(s))} for m, s in zip(belief.mean, stddev)]
-    write_table(args.out, "predict", config_dict, ["mean", "stddev"], rows)
+    rows = [{"mean": m, "stddev": s} for m, s in zip(belief.mean.tolist(), stddev.tolist())]
+    write_table(args.out, args, ["mean", "stddev"], rows)
     if has_y:
         rmse = float(np.sqrt(np.mean((belief.mean - yq) ** 2)))
         var_y = belief.var + model.noise_sigma2
@@ -549,24 +544,15 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep_resolution(args) -> int:
     rows = sweep_resolution_rows(args.d, args.n, args.epsilons, args.seeds, args.sigma2)
-    config_dict = {
-        "d": args.d, "n": args.n, "epsilons": args.epsilons, "seeds": args.seeds,
-        "sigma2": args.sigma2, "seed": args.seeds[0],
-    }
-    write_table(
-        args.out, "sweep-resolution", config_dict,
-        ["d", "epsilon", "seed", "m", "wasserstein2", "cond", "cg_iterations", "status"], rows,
-    )
+    write_table(args.out, args, ["d", "epsilon", "seed", "m", "wasserstein2", "cond", "cg_iterations", "status"], rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
 
 
 def cmd_kms_demo(args) -> int:
     rows = kms_demo_rows(args.rho, args.n, args.trials, args.seed)
-    config_dict = {"rho": args.rho, "n": args.n, "trials": args.trials, "seed": args.seed}
     write_table(
-        args.out, "kms-demo", config_dict,
-        ["rho", "n", "cond", "trench_lower", "trench_upper", "err_median", "err_q25", "err_q75"], rows,
+        args.out, args, ["rho", "n", "cond", "trench_lower", "trench_upper", "err_median", "err_q25", "err_q75"], rows
     )
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
@@ -576,14 +562,7 @@ def cmd_datasize_sweep(args) -> int:
     data = load_csv(args.data)
     kernel = _load_json(args.kernel, "kernel", Kernel.from_json) if args.kernel else default_kernel(data.d)
     rows = datasize_sweep_rows(data, args.n_list, args.m_list, args.methods, kernel, args.sigma2, args.steps, args.seed)
-    config_dict = {
-        "data": args.data, "n_list": args.n_list, "m_list": args.m_list, "methods": args.methods,
-        "kernel": args.kernel, "sigma2": args.sigma2, "steps": args.steps, "seed": args.seed,
-    }
-    write_table(
-        args.out, "datasize-sweep", config_dict,
-        ["n", "m_requested", "method", "m", "cond", "rmse", "status"], rows,
-    )
+    write_table(args.out, args, ["n", "m_requested", "method", "m", "cond", "rmse", "status"], rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
 

@@ -10,7 +10,7 @@ them for a fitted clustered model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -192,18 +192,7 @@ class StabilityReport:
     cholesky_ok_double: bool
 
     def to_json(self) -> dict:
-        return {
-            "lambda_max_bound": self.lambda_max_bound,
-            "cond_bound": self.cond_bound,
-            "observed": {
-                "lambda_max": self.observed.lambda_max,
-                "lambda_min": self.observed.lambda_min,
-                "cond": self.observed.cond,
-            },
-            "cg_iteration_bound": self.cg_iteration_bound,
-            "cholesky_ok_single": self.cholesky_ok_single,
-            "cholesky_ok_double": self.cholesky_ok_double,
-        }
+        return asdict(self)
 
 
 def stability_report(model) -> StabilityReport:

@@ -351,10 +351,12 @@ def test_select_spatial_resolution_is_the_full_scan(tmp_path, method, d, kind):
     assert obj["metrics"]["spatial_resolution"] == spatial_resolution(load_csv(str(path)).X, pts)
 
 
-def test_select_rejects_bad_usage(tmp_path, small_csv):
+def test_select_rejects_bad_usage(tmp_path, small_csv, capsys):
     out = tmp_path / "z.json"
-    # covertree needs an epsilon or a target M
-    assert main(["select", str(small_csv), "--method", "covertree", "--out", str(out)]) == EXIT_USAGE
+    # covertree needs an epsilon, the other methods a target M
+    for method, flag in (("covertree", "--epsilon"), ("uniform", "--m"), ("kmeans", "--m")):
+        assert main(["select", str(small_csv), "--method", method, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {flag} is required for method={method}\n"
     assert main(["select", str(tmp_path / "missing.csv"), "--method", "uniform", "--m", "3", "--out", str(out)]) == EXIT_USAGE
     assert main(["select", str(small_csv), "--method", "uniform", "--m", "99", "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
@@ -770,6 +772,30 @@ def test_tables_have_provenance_and_are_reproducible(tmp_path):
     with open(str(out1) + ".config.json") as fh:
         sidecar = json.load(fh)
     assert sidecar["config"]["trials"] == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "sweep-resolution", "kms-demo", "datasize-sweep"])
+def test_table_config_is_every_parsed_flag_but_out(tmp_path, small_csv, kernel_json, command):
+    # the sidecar records what the parser declares, no more and no less
+    z_path, model_path = fit_files(tmp_path, small_csv, kernel_json)
+    argv = {
+        "fit": [str(small_csv), str(z_path), str(kernel_json)],
+        "predict": [str(model_path), str(small_csv)],
+        "sweep-resolution": ["--d", "1", "--n", "50", "--epsilons", "1.2"],
+        "kms-demo": ["--rho", "0.9", "--n", "16", "--trials", "2"],
+        "datasize-sweep": [str(small_csv), "--n-list", "30", "--m-list", "5"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([command, *argv, "--out", str(out)]) == EXIT_OK
+    table = str(out) + ".log.csv" if command == "fit" else str(out)
+    with open(table + ".config.json") as fh:
+        sidecar = json.load(fh)
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(sidecar["config"]) == {a.dest for a in commands[command]._actions} - {"help", "out"}
+    meta, _ = read_table(table)
+    assert meta["command"] == sidecar["command"] == command
+    assert meta["config_hash"] == sidecar["config_hash"]
+    assert meta["seed"] == str(sidecar["config"].get("seed", ""))
 
 
 # ---------------------------------------------------------------------------

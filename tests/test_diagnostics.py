@@ -7,7 +7,10 @@ from stablegp import (
     ClusteredModel,
     Family,
     Kernel,
+    SpectrumSummary,
+    StabilityReport,
     cg_iteration_bound,
+    cholesky_stability_predicate,
     cond_bound_with_noise,
     conjugate_gradient,
     decay_envelope,
@@ -216,6 +219,55 @@ def test_stability_report_single_inducing_point():
     assert report.lambda_max_bound == pytest.approx(2.0)
     assert report.cond_bound == pytest.approx((2.0 + 0.4) / 0.4)
     assert report.observed.cond == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bits", [23, 52])
+def test_stability_report_cholesky_flags_use_the_model_size(bits):
+    # Lambda is chosen so that cond(K_zz + Lambda) lies between the
+    # predicate's thresholds at n = M and at n = 11, so only a report that
+    # evaluates the predicate at max(M, 11) gets the flag right.
+    m = 200
+    z = np.linspace(0.0, 10.0, m)[:, None]
+    kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0]))
+
+    def threshold(n):
+        return 1.0 / (2.0**-bits * 3.9 * n**1.5)
+
+    target = math.sqrt(threshold(m) * threshold(11))
+    w = np.linalg.eigvalsh(gram(kernel, z))
+    c = (w[-1] - target * w[0]) / (target - 1.0)
+    report = stability_report(ClusteredModel(kernel, c, z, np.sin(z[:, 0]), np.full(m, c), np.ones(m, dtype=int)))
+    cond = report.observed.cond
+    assert not cholesky_stability_predicate(cond, m, bits) and cholesky_stability_predicate(cond, 11, bits)
+    assert report.cholesky_ok_single == cholesky_stability_predicate(cond, m, 23)
+    assert report.cholesky_ok_double == cholesky_stability_predicate(cond, m, 52)
+
+
+@pytest.mark.parametrize("cond", [12.5, math.inf])
+def test_stability_report_json_is_pinned(cond):
+    finite = math.isfinite(cond)
+    report = StabilityReport(
+        lambda_max_bound=3.25,
+        cond_bound=40.0,
+        observed=SpectrumSummary(lambda_max=2.5, lambda_min=0.2 if finite else 0.0, cond=cond),
+        cg_iteration_bound=7.5 if finite else math.inf,
+        cholesky_ok_single=finite,
+        cholesky_ok_double=finite,
+    )
+    got = report.to_json()
+    assert got == {
+        "lambda_max_bound": 3.25,
+        "cond_bound": 40.0,
+        "observed": {"lambda_max": 2.5, "lambda_min": 0.2 if finite else 0.0, "cond": cond},
+        "cg_iteration_bound": 7.5 if finite else math.inf,
+        "cholesky_ok_single": finite,
+        "cholesky_ok_double": finite,
+    }
+    assert list(got) == [
+        "lambda_max_bound", "cond_bound", "observed", "cg_iteration_bound", "cholesky_ok_single", "cholesky_ok_double"
+    ]
+    assert list(got["observed"]) == ["lambda_max", "lambda_min", "cond"]
+    assert type(got["observed"]) is dict
 
 
 def test_stability_report_deterministic():

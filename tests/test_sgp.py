@@ -435,6 +435,23 @@ def test_solve_gate_holds_no_squared_temporary_the_size_of_the_right_hand_sides(
     assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
 
 
+def test_solve_rejects_a_factor_whose_residual_lies_between_the_thresholds():
+    # The factor of (1 + delta) A solves A X = B to the true relative residual
+    # delta / (1 + delta), whatever A's conditioning: far above the 1e-9 the
+    # gate accepts, far below a loose 1e-1.
+    model = make_clustered(26, 40, 2)
+    A, out = sgp.shifted_gram(model)
+    perturbed = linalg.cholesky((1.0 + 1e-5) * A)
+    B = np.random.default_rng(26).normal(size=(model.m, 3))
+    R = A @ linalg.cho_solve(perturbed, B) - B
+    rel = np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)
+    assert np.all((1e-9 < rel) & (rel < 1e-1))
+    with pytest.raises(NumericalFailure, match="relative residual"):
+        sgp._solve(A, perturbed, B)
+    X = sgp._solve(A, out, B)
+    assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
+
+
 def test_posterior_calls_outside_a_solve_log_keep_no_memory():
     kernel, sigma2, X, y, rng = random_problem(25, 200, 2)
     model = fit_clustered(Dataset(X, y), X[:20], kernel, sigma2)
