@@ -53,7 +53,6 @@ from .linalg import (
 from .sgp import (
     ClusteredModel,
     Dataset,
-    ExactGP,
     GaussianBelief,
     TrainConfig,
     TrainResult,
@@ -77,7 +76,7 @@ __all__ = [
     "CGReport", "CholeskyOutcome", "NumericalFailure",
     "SpectrumSummary", "cho_solve", "cholesky", "cholesky_stability_predicate",
     "conjugate_gradient", "hutchinson_trace", "spectrum", "wasserstein2_gaussians",
-    "ClusteredModel", "Dataset", "ExactGP", "GaussianBelief", "TrainConfig", "TrainResult",
+    "ClusteredModel", "Dataset", "GaussianBelief", "TrainConfig", "TrainResult",
     "clustered_posterior", "exact_posterior", "fit_clustered", "kl_to_prior",
     "sample_targets", "sgpr_posterior", "train", "training_objective",
 ]

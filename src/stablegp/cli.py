@@ -65,8 +65,9 @@ def _load_csv_columns(path: str, require_targets: bool):
     np.loadtxt call, whose result is kept only if it has at least one row,
     one column per header field and no non-finite value, and if the rows
     hold no character that loadtxt but not float takes for whitespace.
-    Otherwise the rows are parsed again by the csv.reader + float loop.
-    That loop stays because it is the reference: it accepts what float
+    Otherwise the rows are parsed again by the csv.reader + float loop,
+    which is also the only parser of a stream that cannot seek, such as a
+    pipe.  That loop stays because it is the reference: it accepts what float
     accepts but loadtxt does not (quoted fields, underscores such as 1_0),
     and its errors name the line.  Both parse numbers with the same
     string-to-double routine, so a file either parser accepts gives
@@ -89,12 +90,16 @@ def _load_csv_columns(path: str, require_targets: bool):
         if not header or xcols != expected or (require_targets and not has_y):
             want = "x1,...,xd" + (",y" if require_targets else "[,y]")
             raise UsageError(f"{path}: header must be {want}, got {','.join(header)}")
-        arr = _loadtxt_rows(fh, len(header), header_lines)
+        arr = None
+        if fh.seekable():
+            arr = _loadtxt_rows(fh, len(header), header_lines)
+            if arr is None:
+                # Re-reading from the top keeps the decoder's chunks where the
+                # first read had them, so even a decode error reads the same.
+                fh.seek(0)
+                _read_header(fh)
         if arr is None:
-            # Re-reading from the top keeps the decoder's chunks where the
-            # first read had them, so even a decode error reads the same.
-            fh.seek(0)
-            _read_header(fh)
+            # also the only parse of a pipe or FIFO, which cannot be read twice
             arr = _checked_rows(path, fh, len(header), header_lines)
     if has_y:
         return arr[:, :-1], arr[:, -1], True

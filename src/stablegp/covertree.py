@@ -125,6 +125,8 @@ class InducingSet:
 
     def __post_init__(self):
         pts = _as_points(self.points)
+        if not np.isfinite(pts).all():
+            raise ValueError("inducing points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -375,13 +377,15 @@ def spatial_resolution(data, points: Union[InducingSet, np.ndarray]) -> float:
 
 def leaf_resolution(tree: CoverTree, data) -> float:
     """spatial_resolution(data, inducing_points(tree)) in O(N), for a tree built
-    from data with voronoi_repartition.
+    from data with voronoi_repartition; any other tree raises ValueError.
 
     The deepest level's assigned sets are then the nearest-point labels, ties
     included, and _cross_distances gives a pair the same value in any call
     shape, so the largest distance from each leaf to its own points is the
     full scan's result bit for bit.
     """
+    if not tree.voronoi_repartition:
+        raise ValueError("leaf_resolution needs a tree built with voronoi_repartition")
     X = _as_points(data)
     return max(
         float(_cross_distances(X.take(node.assigned, axis=0), node.location[None, :]).max())

@@ -20,11 +20,13 @@ from .covertree import separation
 from .kernels import DecayEnvelope, decay_envelope
 from .linalg import (
     CG_DEFAULT_TOL,
+    NumericalFailure,
     SpectrumSummary,
+    cholesky,
     cholesky_stability_predicate,
     spectrum,
 )
-from .sgp import shifted_gram
+from .sgp import _plus_lambda
 
 __all__ = [
     "StabilityReport",
@@ -205,10 +207,10 @@ def stability_report(model) -> StabilityReport:
     A = K_zz + Lambda.  The CG bound is for solving A v = u, the
     inducing mean vector, at the default tolerance; its initial error
     sqrt(u^T A^{-1} u) = ||L^{-1} u|| comes from the zero-jitter Cholesky
-    factor L = shifted_gram(model), which raises NumericalFailure if A does
-    not factor.  The Cholesky predicates are evaluated at matrix size
-    max(M, 11) since the underlying result assumes more than 10 rows; larger
-    n only tightens the test.
+    factor L of A, and is infinite when A does not factor, so a model that
+    fails to factor still gets its report.  The Cholesky predicates are
+    evaluated at matrix size max(M, 11) since the underlying result assumes
+    more than 10 rows; larger n only tightens the test.
     """
     psi = decay_envelope(model.kernel)
     delta = separation(model.z)
@@ -222,16 +224,20 @@ def stability_report(model) -> StabilityReport:
             c_max = min(c_max, series)
     cond_bound = cond_bound_with_noise(c_max, model.lam)
 
-    A, out = shifted_gram(model)
+    A = _plus_lambda(model)
     observed = spectrum(A)
 
     u_norm = float(np.linalg.norm(model.u))
-    if u_norm == 0.0 or not math.isfinite(observed.cond):
-        cg_bound = 0.0 if u_norm == 0.0 else math.inf
-    else:
-        e0 = float(np.linalg.norm(solve_triangular(out.factor, model.u, lower=True, check_finite=False)))
-        eps_a = CG_DEFAULT_TOL * u_norm / math.sqrt(observed.lambda_max)
-        cg_bound = cg_iteration_bound(observed.cond, e0, eps_a)
+    cg_bound = 0.0 if u_norm == 0.0 else math.inf
+    if u_norm > 0.0 and math.isfinite(observed.cond):
+        try:
+            L = cholesky(A, tag="kzz_plus_lambda").factor
+        except NumericalFailure:
+            pass  # the bound stays infinite
+        else:
+            e0 = float(np.linalg.norm(solve_triangular(L, model.u, lower=True, check_finite=False)))
+            eps_a = CG_DEFAULT_TOL * u_norm / math.sqrt(observed.lambda_max)
+            cg_bound = cg_iteration_bound(observed.cond, e0, eps_a)
 
     n_pred = max(model.m, 11)
     ok_single = cholesky_stability_predicate(observed.cond, n_pred, 23) if math.isfinite(observed.cond) else False

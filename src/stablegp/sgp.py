@@ -36,7 +36,6 @@ from .linalg import CholeskyOutcome, NumericalFailure, cho_solve, cholesky
 
 __all__ = [
     "Dataset",
-    "ExactGP",
     "ClusteredModel",
     "GaussianBelief",
     "TrainConfig",
@@ -93,26 +92,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=int)
         return Dataset(self.X[idx], self.y[idx])
-
-
-@dataclass(frozen=True)
-class ExactGP:
-    kernel: Kernel
-    noise_sigma2: float
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 < self.noise_sigma2 < math.inf:
-            raise ValueError("noise_sigma2 must be finite and positive")
-        X = _as_matrix(self.X) if np.size(self.X) else np.zeros((0, self.kernel.dim))
-        y = np.ascontiguousarray(self.y, dtype=float).reshape(-1)
-        if y.shape[0] != X.shape[0]:
-            raise ValueError("y length must match X rows")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("X and y must be finite")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -187,14 +166,14 @@ def _exact_as_clustered(kernel: Kernel, sigma2: float, X: np.ndarray, y: np.ndar
     return ClusteredModel(kernel, sigma2, X, y, np.full(len(y), sigma2), np.ones(len(y), dtype=int))
 
 
-def exact_posterior(model: ExactGP, query) -> GaussianBelief:
+def exact_posterior(data: Dataset, kernel: Kernel, sigma2: float, query) -> GaussianBelief:
     """Dense exact GP posterior at the query points.
 
     The posterior of the clustered model with one point per cluster, through
     shifted_gram's zero-jitter factor of K_xx + sigma^2 I; with no data the
     belief is the prior.
     """
-    clustered = _exact_as_clustered(model.kernel, model.noise_sigma2, model.X, model.y)
+    clustered = _exact_as_clustered(kernel, sigma2, data.X, data.y)
     return _posterior(clustered, query, True, shifted_gram(clustered))
 
 
@@ -209,7 +188,7 @@ def sample_targets(
     f ~ GP(0, kernel) and noise ~ N(0, sigma^2 I), and K_xx alone, which can
     be nearly singular, is never factored.  The posterior solves through the
     same factor L and is bit-identical to
-    exact_posterior(ExactGP(kernel, sigma2, X, y), query); without a query
+    exact_posterior(Dataset(X, y), kernel, sigma2, query); without a query
     it is None.  At most 5000 points, to bound the n x n Gram.
     """
     X = _as_matrix(X)
@@ -247,28 +226,27 @@ def _jittered_cholesky(K: np.ndarray, tag: str) -> CholeskyOutcome:
     raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}, largest jitter tried {tried:.3g}")
 
 
-def sgpr_posterior(model: ExactGP, z: Union[InducingSet, np.ndarray], query) -> GaussianBelief:
+def sgpr_posterior(
+    data: Dataset, z: Union[InducingSet, np.ndarray], kernel: Kernel, sigma2: float, query
+) -> GaussianBelief:
     """Collapsed variational posterior with free inducing points.
 
     This baseline substitutes the analytically optimal q(u), which requires
     solving against K_zz itself; that is exactly the step the clustered
     approximation avoids, and the reason this path factors K_zz with jitter.
     """
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("noise_sigma2 must be finite and positive")
     Q = _as_matrix(query)
     Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
-    k = model.kernel
-    sigma2 = model.noise_sigma2
-    out = _jittered_cholesky(gram(k, Z), "kzz_sgpr")
-    L = out.factor
-    A = solve_triangular(L, gram(k, Z, model.X), lower=True, check_finite=False)
+    L = _jittered_cholesky(gram(kernel, Z), "kzz_sgpr").factor
+    A = solve_triangular(L, gram(kernel, Z, data.X), lower=True, check_finite=False)
     # every eigenvalue of B is >= 1, so it factors without jitter
     B = np.eye(Z.shape[0]) + (A @ A.T) / sigma2
     out_b = cholesky(B, tag="sgpr_inner")
-    C = solve_triangular(L, gram(k, Z, Q), lower=True, check_finite=False)
-    Ay = A @ model.y
-    mean = C.T @ cho_solve(out_b, Ay) / sigma2
-    K_qq = gram(k, Q)
-    cov = K_qq - C.T @ C + C.T @ cho_solve(out_b, C)
+    C = solve_triangular(L, gram(kernel, Z, Q), lower=True, check_finite=False)
+    mean = C.T @ cho_solve(out_b, A @ data.y) / sigma2
+    cov = gram(kernel, Q) - C.T @ C + C.T @ cho_solve(out_b, C)
     cov = (cov + cov.T) / 2.0
     return GaussianBelief(mean, np.diag(cov).copy(), cov)
 
@@ -281,8 +259,6 @@ def fit_clustered(
     Inducing points whose cluster is empty are dropped with a warning; the
     cluster means are only defined over nonempty clusters.
     """
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
     Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
     labels, counts = cluster_assign(data.X, Z)
     nonempty = counts > 0
@@ -308,9 +284,15 @@ def shifted_gram(
     still fails to factor raises NumericalFailure instead of being jittered.
     K, when given, is K_zz already evaluated by the caller; it is not modified.
     """
+    A = _plus_lambda(model, K)
+    return A, cholesky(A, tag="kzz_plus_lambda")
+
+
+def _plus_lambda(model: ClusteredModel, K: Optional[np.ndarray] = None) -> np.ndarray:
+    """K_zz + Lambda as a new array, from K = K_zz when the caller has it."""
     A = gram(model.kernel, model.z) if K is None else K.copy()
     A[np.diag_indices_from(A)] += model.lam
-    return A, cholesky(A, tag="kzz_plus_lambda")
+    return A
 
 
 def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:

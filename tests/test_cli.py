@@ -14,9 +14,9 @@ import pytest
 from stablegp import (
     ClusteredModel,
     Dataset,
-    ExactGP,
     Family,
     Kernel,
+    NumericalFailure,
     build,
     cholesky_stability_predicate,
     clustered_posterior,
@@ -351,6 +351,20 @@ def test_select_spatial_resolution_is_the_full_scan(tmp_path, method, d, kind):
     assert obj["metrics"]["spatial_resolution"] == spatial_resolution(load_csv(str(path)).X, pts)
 
 
+def test_select_reads_data_from_a_pipe(tmp_path, small_csv):
+    # a pipe cannot seek, so its rows are parsed in one pass; the inducing
+    # set must be the one the same file gives when read from disk
+    outs = {name: tmp_path / f"{name}.json" for name in ("pipe", "file")}
+    flags = ["--method", "covertree", "--epsilon", "0.5", "--out"]
+    assert main(["select", str(small_csv), *flags, str(outs["file"])]) == EXIT_OK
+    argv = ["select", "/dev/stdin", *flags, str(outs["pipe"])]
+    _fresh_python(f"import sys\nfrom stablegp.cli import main\nsys.exit(main({argv!r}))", stdin=small_csv.read_text())
+    got = {name: _strict_json(path.read_text()) for name, path in outs.items()}
+    for obj in got.values():
+        del obj["metrics"]["wall_time_ms"]
+    assert got["pipe"] == got["file"]
+
+
 def test_select_rejects_bad_usage(tmp_path, small_csv, capsys):
     out = tmp_path / "z.json"
     # covertree needs an epsilon, the other methods a target M
@@ -526,6 +540,27 @@ def test_json_inputs_that_are_not_objects_are_usage_errors(tmp_path, small_csv, 
         assert capsys.readouterr().err.startswith(f"error: cannot load {what} from {listed}: ")
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_fit_rejects_non_finite_inducing_points(tmp_path, small_csv, kernel_json, capsys, bad):
+    z_path = tmp_path / "z.json"
+    z_path.write_text(f'{{"points": [[0.0, 0.0], [{bad}, 1.0]], "provenance": {{}}}}')
+    out = tmp_path / "m.json"
+    assert main(["fit", str(small_csv), str(z_path), str(kernel_json), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: cannot load inducing set from {z_path}: inducing points must be finite\n"
+
+
+def test_predict_rejects_queries_of_another_dimension(tmp_path, small_csv, kernel_json, capsys):
+    _, model_path = fit_files(tmp_path, small_csv, kernel_json)
+    query = tmp_path / "q3.csv"
+    query.write_text("x1,x2,x3\n0.0,0.5,1.0\n")
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    assert main(["predict", str(model_path), str(query), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: query dimension 3 does not match model dimension 2\n"
+
+
 def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
     assert main([]) == EXIT_USAGE
     assert main(["select", str(small_csv), "--method", "nope", "--out", "x"]) == EXIT_USAGE
@@ -549,10 +584,11 @@ def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
     assert code == EXIT_NUMERICAL
 
 
-def test_fit_failure_with_nearly_coinciding_inducing_points_exits_numerical(tmp_path, kernel_json):
+def test_fit_failure_with_nearly_coinciding_inducing_points_exits_numerical(tmp_path, kernel_json, capsys):
     # the first two inducing points are 1e-9 apart and each holds data, so
     # K_zz + Lambda is singular under a vanishing sigma2 and training fails;
-    # the stability report the failure handler prints must not replace it
+    # the handler prints a stability report of that model, which needs no
+    # factor of it, and the failure itself follows
     X = np.array([[-0.1, 0.0], [-0.2, 0.1], [0.1, 0.0], [0.2, -0.1], [1.0, 1.0], [0.9, 1.1]])
     data_path = tmp_path / "near.csv"
     write_csv_dataset(str(data_path), Dataset(X, np.array([1.0, 0.8, -1.0, -0.7, 0.5, 0.4])))
@@ -563,6 +599,10 @@ def test_fit_failure_with_nearly_coinciding_inducing_points_exits_numerical(tmp_
         "--sigma2", "1e-30", "--steps", "1", "--batch", "6", "--out", str(tmp_path / "m.json"),
     ]
     assert main(args) == EXIT_NUMERICAL
+    report, failure = capsys.readouterr().err.splitlines()
+    report = json.loads(report)["stability_report"]
+    assert report["cg_iteration_bound"] == math.inf and report["cholesky_ok_double"] is False
+    assert failure == "numerical failure: Cholesky factorization 'kzz_plus_lambda' failed: n=3"
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +641,7 @@ def test_sweep_resolution_table(tmp_path, monkeypatch):
 
     grid = cli.query_grid(1, np.full(1, -5.0), np.full(1, 5.0))
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.5]))
-    exact_by_seed = {s: exact_posterior(ExactGP(kernel, 0.1, d.X, d.y), grid) for s, d in data_by_seed.items()}
+    exact_by_seed = {s: exact_posterior(d, kernel, 0.1, grid) for s, d in data_by_seed.items()}
     for row in rows:
         data = data_by_seed[row["seed"]]
         tree = build(data.X, epsilon=row["epsilon"], seed=int(row["seed"]))
@@ -744,6 +784,51 @@ def test_datasize_sweep_accepts_smallest_sizes(tmp_path):
     _, rows = read_table(str(out))
     assert [(r["n"], r["status"]) for r in rows] == [(2, "ok")]
     assert math.isfinite(rows[0]["rmse"])
+
+
+def test_datasize_sweep_trains_every_method(tmp_path):
+    path = tmp_path / "geo.csv"
+    write_csv_dataset(str(path), synthetic_prior_dataset(d=2, n=80, sigma2=0.04, seed=9))
+    tables = {}
+    for steps in ("0", "2"):
+        out = tmp_path / f"steps{steps}.csv"
+        args = ["datasize-sweep", str(path), "--n-list", "60", "--m-list", "6", "--steps", steps]
+        assert main(args + ["--methods", "covertree", "uniform", "kmeans", "--out", str(out)]) == EXIT_OK
+        tables[steps] = read_table(str(out))[1]
+    assert [(r["method"], r["status"]) for r in tables["2"]] == [("covertree", "ok"), ("kmeans", "ok"), ("uniform", "ok")]
+    for trained, untrained in zip(tables["2"], tables["0"]):
+        # training keeps the inducing points and moves the hyperparameters
+        assert trained["m"] == untrained["m"]
+        assert trained["rmse"] != untrained["rmse"] and trained["cond"] != untrained["cond"]
+
+
+def _fail_first_call(monkeypatch, name):
+    """Make the first call of cli.<name> raise NumericalFailure("forced")."""
+    original, calls = getattr(cli, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 1:
+            raise NumericalFailure("forced")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, failing)
+
+
+def test_sweep_tables_keep_a_failed_model_as_an_error_row(tmp_path, small_csv, monkeypatch):
+    sweeps = [
+        (["sweep-resolution", "--d", "1", "--n", "60", "--epsilons", "0.5", "1.0"],
+         "clustered_posterior", {"d": 1.0, "epsilon": 0.5, "seed": 0.0}, ["m", "wasserstein2", "cond", "cg_iterations"]),
+        (["datasize-sweep", str(small_csv), "--n-list", "30", "--m-list", "4", "8"],
+         "fit_clustered", {"n": 30.0, "m_requested": 4.0, "method": "covertree"}, ["m", "cond", "rmse"]),
+    ]
+    for argv, name, keys, blank in sweeps:
+        _fail_first_call(monkeypatch, name)
+        out = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        first, second = read_table(str(out))[1]
+        assert first == {**keys, **dict.fromkeys(blank, ""), "status": "error: forced"}
+        assert second["status"] == "ok"
 
 
 def test_datasize_sweep_provenance_names_the_kernel(tmp_path, small_csv, kernel_json):
@@ -890,13 +975,13 @@ def test_every_numeric_flag_declares_its_range():
 # start-up
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of code run by a new interpreter that imports this stablegp."""
+def _fresh_python(code: str, stdin: str = "") -> str:
+    """stdout of code run, with stdin piped in, by a new interpreter that imports this stablegp."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=300,
+        input=stdin, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout

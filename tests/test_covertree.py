@@ -171,6 +171,14 @@ def test_voronoi_leaf_assignment_is_global_nearest_inducing_point():
             assert leaf_resolution(tree, X) == spatial_resolution(X, inducing_points(tree))
 
 
+def test_leaf_resolution_refuses_a_tree_without_voronoi_repartition():
+    # without the Voronoi pass a leaf's assigned points need not be the
+    # points nearest to it, so the leaf scan would not be the full scan
+    X = np.random.default_rng(16).uniform(-3.0, 3.0, size=(200, 2))
+    with pytest.raises(ValueError, match="voronoi_repartition"):
+        leaf_resolution(build(X, epsilon=0.5, voronoi_repartition=False), X)
+
+
 def _assert_levels_of(shallow, deep, j):
     """shallow is levels 0..j of deep, bit for bit."""
     assert shallow.L == j

@@ -10,7 +10,6 @@ from scipy.spatial.distance import cdist
 from stablegp import (
     ClusteredModel,
     Dataset,
-    ExactGP,
     Family,
     Kernel,
     NumericalFailure,
@@ -29,7 +28,7 @@ from stablegp import (
     training_objective,
 )
 from stablegp import sgp
-from stablegp.cli import EXIT_NUMERICAL, main
+from stablegp.cli import EXIT_NUMERICAL, main, write_csv_dataset
 from stablegp import linalg
 from stablegp.linalg import solve_log
 
@@ -99,9 +98,8 @@ def random_problem(seed, n, d, family=Family.SQUARED_EXPONENTIAL):
 
 def test_exact_posterior_no_data_is_prior():
     kernel = Kernel(Family.MATERN32, 1.4, np.array([1.0]))
-    model = ExactGP(kernel, 0.1, np.empty((0, 1)), np.empty(0))
     Q = np.array([[0.0], [1.0], [2.5]])
-    belief = exact_posterior(model, Q)
+    belief = exact_posterior(Dataset(np.empty((0, 1)), np.empty(0)), kernel, 0.1, Q)
     assert np.array_equal(belief.mean, np.zeros(3))
     assert np.allclose(belief.cov, gram(kernel, Q), atol=0.0)
 
@@ -109,15 +107,14 @@ def test_exact_posterior_no_data_is_prior():
 def test_exact_posterior_interpolates_at_small_noise():
     kernel, _, X, y, _ = random_problem(0, 8, 1)
     sigma = 1e-4
-    model = ExactGP(kernel, sigma**2, X, y)
-    belief = exact_posterior(model, X[:1])
+    belief = exact_posterior(Dataset(X, y), kernel, sigma**2, X[:1])
     assert abs(belief.mean[0] - y[0]) <= 10.0 * sigma
 
 
 def test_exact_posterior_matches_dense_oracle():
     kernel, sigma2, X, y, rng = random_problem(1, 5, 1)
     Q = rng.uniform(-3.0, 3.0, size=(4, 1))
-    belief = exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+    belief = exact_posterior(Dataset(X, y), kernel, sigma2, Q)
     mean, cov = oracle_exact_posterior(kernel, sigma2, X, y, Q)
     assert np.max(np.abs(belief.mean - mean)) <= 1e-10
     assert np.max(np.abs(belief.cov - cov)) <= 1e-10
@@ -139,16 +136,18 @@ def test_exact_gp_rejects_non_finite_input(field, bad):
         fields[field] = fields[field].copy()
         fields[field].flat[3] = bad
     with pytest.raises(ValueError, match="finite"):
-        ExactGP(kernel, **fields)
+        exact_posterior(Dataset(fields["X"], fields["y"]), kernel, fields["noise_sigma2"], X[:2])
+    with pytest.raises(ValueError, match="finite"):
+        sgpr_posterior(Dataset(fields["X"], fields["y"]), X[:3], kernel, fields["noise_sigma2"], X[:2])
 
 
 def test_singular_exact_gp_raises_instead_of_jittering():
     # two coincident inputs and a noise far below the rounding of the unit
     # diagonal: K_xx + sigma^2 I is singular in double precision
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0]))
-    model = ExactGP(kernel, 1e-20, np.array([[0.0], [0.0], [1.0]]), np.array([1.0, -1.0, 0.5]))
+    data = Dataset(np.array([[0.0], [0.0], [1.0]]), np.array([1.0, -1.0, 0.5]))
     with pytest.raises(NumericalFailure):
-        exact_posterior(model, np.array([[0.5]]))
+        exact_posterior(data, kernel, 1e-20, np.array([[0.5]]))
 
 
 def test_exact_posterior_solves_are_residual_gated(monkeypatch):
@@ -156,7 +155,7 @@ def test_exact_posterior_solves_are_residual_gated(monkeypatch):
     Q = rng.uniform(-3.0, 3.0, size=(4, 1))
     monkeypatch.setattr(sgp, "_RESIDUAL_ACCEPT", 0.0)
     with pytest.raises(NumericalFailure, match="relative residual"):
-        exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+        exact_posterior(Dataset(X, y), kernel, sigma2, Q)
     with pytest.raises(NumericalFailure, match="relative residual"):
         sample_targets(kernel, sigma2, X, 0, Q)
 
@@ -175,7 +174,7 @@ def test_only_the_sgpr_baseline_factors_with_jitter(monkeypatch):
     Q = rng.uniform(-3.0, 3.0, size=(5, 2))
     with solve_log() as log:
         model = fit_clustered(data, inducing_points(build(X, epsilon=0.7)), kernel, sigma2)
-        exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+        exact_posterior(data, kernel, sigma2, Q)
         sample_targets(kernel, sigma2, X, 0, Q)
         clustered_posterior(model, Q)
         clustered_posterior(model, Q, full_cov=False)
@@ -185,7 +184,7 @@ def test_only_the_sgpr_baseline_factors_with_jitter(monkeypatch):
         train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
     assert len([e for e in log if e["kind"] == "cholesky"]) > 8
     assert calls == []
-    sgpr_posterior(ExactGP(kernel, sigma2, X, y), model.z, Q)
+    sgpr_posterior(data, model.z, kernel, sigma2, Q)
     assert calls == ["kzz_sgpr"]
 
 
@@ -233,9 +232,9 @@ def test_jittered_cholesky_schedule(monkeypatch):
 def test_sgpr_all_data_inducing_recovers_exact():
     kernel, sigma2, X, y, rng = random_problem(2, 30, 2)
     Q = rng.uniform(-3.0, 3.0, size=(6, 2))
-    model = ExactGP(kernel, sigma2, X, y)
-    full = exact_posterior(model, Q)
-    sparse = sgpr_posterior(model, X, Q)
+    data = Dataset(X, y)
+    full = exact_posterior(data, kernel, sigma2, Q)
+    sparse = sgpr_posterior(data, X, kernel, sigma2, Q)
     assert np.max(np.abs(full.mean - sparse.mean)) <= 1e-6
     assert np.max(np.abs(full.cov - sparse.cov)) <= 1e-6
 
@@ -243,7 +242,7 @@ def test_sgpr_all_data_inducing_recovers_exact():
 def test_sgpr_single_inducing_point_psd_ordering():
     kernel, sigma2, X, y, rng = random_problem(3, 40, 2)
     Q = rng.uniform(-3.0, 3.0, size=(8, 2))
-    belief = sgpr_posterior(ExactGP(kernel, sigma2, X, y), X[:1], Q)
+    belief = sgpr_posterior(Dataset(X, y), X[:1], kernel, sigma2, Q)
     prior = gram(kernel, Q)
     gap_eigs = np.linalg.eigvalsh(prior - belief.cov)
     assert gap_eigs[0] >= -1e-8
@@ -253,7 +252,7 @@ def test_sgpr_matches_textbook_oracle():
     kernel, sigma2, X, y, rng = random_problem(4, 50, 2)
     Z = X[rng.permutation(50)[:10]]
     Q = rng.uniform(-3.0, 3.0, size=(7, 2))
-    belief = sgpr_posterior(ExactGP(kernel, sigma2, X, y), Z, Q)
+    belief = sgpr_posterior(Dataset(X, y), Z, kernel, sigma2, Q)
     mean, cov = oracle_sgpr_posterior(kernel, sigma2, X, y, Z, Q)
     assert np.max(np.abs(belief.mean - mean)) <= 1e-8
     assert np.max(np.abs(belief.cov - cov)) <= 1e-8
@@ -377,7 +376,7 @@ def test_clustered_all_data_inducing_equals_exact():
     model = fit_clustered(data, X, kernel, sigma2)
     Q = rng.uniform(-3.0, 3.0, size=(9, 1))
     belief = clustered_posterior(model, Q)
-    full = exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+    full = exact_posterior(Dataset(X, y), kernel, sigma2, Q)
     assert np.max(np.abs(belief.mean - full.mean)) <= 1e-8
     assert np.max(np.abs(belief.cov - full.cov)) <= 1e-8
 
@@ -707,6 +706,28 @@ def test_train_rejects_settings_it_cannot_honour(setting):
         train(model, data, TrainConfig(**{"steps": 2, "batch_size": 16, "probes": 2, **setting}))
 
 
+def test_train_rejects_a_non_finite_gradient(tmp_path, monkeypatch):
+    kernel, _, X, y, _ = random_problem(55, 60, 2)
+    data = Dataset(X, y)
+    model = fit_clustered(data, X[::3], kernel, 0.2)
+
+    def nan_gradient(model, *args):
+        return 0.0, np.full(model.kernel.dim + 2, math.nan)
+
+    monkeypatch.setattr(sgp, "_objective_and_grads", nan_gradient)
+    p = np.log([kernel.variance, *kernel.lengthscales, 0.2]).tolist()
+    with pytest.raises(NumericalFailure) as err:
+        train(model, data, TrainConfig(steps=3, batch_size=16))
+    assert str(err.value).startswith(f"non-finite gradient at step 0: log-parameters {p}, gradient [nan, ")
+
+    data_path, z_path, kernel_path = tmp_path / "d.csv", tmp_path / "z.json", tmp_path / "k.json"
+    write_csv_dataset(str(data_path), data)
+    z_path.write_text(json.dumps({"points": X[::3].tolist(), "provenance": {}}))
+    kernel_path.write_text(json.dumps(kernel.to_json()))
+    args = ["fit", str(data_path), str(z_path), str(kernel_path), "--sigma2", "0.2", "--steps", "1"]
+    assert main(args + ["--out", str(tmp_path / "m.json")]) == EXIT_NUMERICAL
+
+
 def test_train_factors_once_and_solves_twice_per_step():
     kernel, _, X, y, _ = random_problem(54, 90, 2)
     data = Dataset(X, y)
@@ -803,7 +824,7 @@ def test_sample_targets_posterior_is_exact_posterior_through_one_factor():
     factored = [e for e in log if e["kind"] == "cholesky"]
     assert factored == [{"kind": "cholesky", "tag": "kzz_plus_lambda", "n": 40}]
     assert np.array_equal(y, sample_targets(kernel, sigma2, X, seed=3)[0])
-    want = exact_posterior(ExactGP(kernel, sigma2, X, y), Q)
+    want = exact_posterior(Dataset(X, y), kernel, sigma2, Q)
     assert np.array_equal(belief.mean, want.mean)
     assert np.array_equal(belief.cov, want.cov)
     assert np.array_equal(belief.var, want.var)
