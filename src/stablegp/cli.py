@@ -32,10 +32,10 @@ from .sgp import (
     ClusteredModel,
     Dataset,
     TrainConfig,
+    _plus_lambda,
     clustered_posterior,
     fit_clustered,
     sample_targets,
-    shifted_gram,
     train,
 )
 
@@ -211,6 +211,13 @@ def _write_json(path: str, obj) -> None:
         fh.write(text + "\n")
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float in it, nested dicts included, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_table(path: str, args: argparse.Namespace, fieldnames: list, rows: list) -> None:
     """Write rows as CSV under a provenance header, plus a JSON sidecar of the config.
 
@@ -357,7 +364,7 @@ def _sweep_seed_rows(d: int, kernel: Kernel, grid: np.ndarray, n: int, epsilons,
             z = ct.inducing_points(tree, tree.radii.index(eps))
             model = fit_clustered(data, z, kernel, sigma2)
             belief = clustered_posterior(model, grid)
-            A, _ = shifted_gram(model)
+            A = _plus_lambda(model)
             report = conjugate_gradient(lambda w: A @ w, model.u, tag="kzz_plus_lambda")
             row.update(
                 m=model.m,
@@ -448,7 +455,7 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
                         model = train(model, train_set, TrainConfig(steps=steps, seed=seed)).model
                     belief = clustered_posterior(model, test_set.X, full_cov=False)
                     rmse = float(np.sqrt(np.mean((belief.mean - test_set.y) ** 2)))
-                    cond = spectrum(shifted_gram(model)[0]).cond
+                    cond = spectrum(_plus_lambda(model)).cond
                     row.update(m=model.m, cond=cond, rmse=rmse, status="ok")
                 except (NumericalFailure, FloatingPointError) as e:
                     row.update(m="", cond="", rmse="", status=f"error: {e}")
@@ -520,7 +527,8 @@ def cmd_fit(args) -> int:
             result = train(model, data, config)
         except NumericalFailure:
             report = dg.stability_report(model)
-            print(json.dumps({"stability_report": report.to_json()}), file=sys.stderr)
+            text = json.dumps({"stability_report": _finite_or_null(report.to_json())}, allow_nan=False)
+            print(text, file=sys.stderr)
             raise
         model, history = result.model, result.history
     _write_json(args.out, model.to_json())

@@ -9,6 +9,10 @@ of the data.  Construction is local: a new node only ever competes with
 children of its parent's R-neighbors, which is what keeps the build near
 linear in N.
 
+A built tree is arrays, one set per level: node locations, parents, each
+datum's node and R-neighbor lists.  A node's children and points follow from
+the parent and label arrays, so only the build keeps them, as locals.
+
 Every distance taken during construction and by the metric helpers below
 goes through _distances, mostly as the all-pairs _cross_distances.  The
 separation/resolution guarantees are asserted with no tolerance, so the
@@ -31,13 +35,12 @@ or is returned still comes from _distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 __all__ = [
-    "CoverTreeNode",
     "CoverTree",
     "InducingSet",
     "ClusterAssignment",
@@ -94,28 +97,22 @@ def _cross_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class CoverTreeNode:
-    location: np.ndarray
-    parent: Optional[int]  # index within the previous level; None for root
-    children: list[int] = field(default_factory=list)
-    r_neighbors: list[int] = field(default_factory=list)
-    assigned: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-
-@dataclass
 class CoverTree:
     epsilon: float
     d_max: float
-    L: int
     radii: list[float]  # R_0 .. R_L with R_ell = 2^(L-ell) * epsilon
-    neighbor_radii: list[float]  # 4 R_ell per level
-    levels: list[list[CoverTreeNode]]
+    # One entry per level ell = 0 .. L:
+    levels: list[np.ndarray]  # (M_ell, d) node locations
+    parents: list[np.ndarray]  # (M_ell,) each node's parent in level ell - 1; -1 at the root
+    labels: list[np.ndarray]  # (N,) the node of level ell that holds each datum
+    neighbors: list[list[list[int]]]  # each node's R-neighbors: sorted, within 4 R_ell, itself included
     seed: int
     lloyd_averaging: bool
     voronoi_repartition: bool
 
-    def level_locations(self, level: int) -> np.ndarray:
-        return np.vstack([node.location for node in self.levels[level]])
+    @property
+    def L(self) -> int:
+        return len(self.radii) - 1
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ def build(
     L is the least L >= 1 with ldexp(epsilon, L) >= d_max, which makes the
     trees of one dataset and seed nested: for 1 <= j <= L, build at
     epsilon' = radii[j] = ldexp(epsilon, L - j) gives levels 0..j of this
-    tree (all but the children lists of level j, which stay empty).  Proof:
+    tree, array for array.  Proof:
     ldexp(epsilon', j) = radii[0] >= d_max, and for j >= 2 minimality gives
     ldexp(epsilon', j - 1) = radii[1] < d_max, so L' = j; the power-of-two
     scalings are exact, so radii' = radii[:j + 1]; epsilon' < d_max unless
@@ -188,8 +185,9 @@ def build(
     rank[rng.permutation(n)] = np.arange(n)
 
     root_loc = X.mean(axis=0)
-    dists_to_root = _cross_distances(X, root_loc[None, :])[:, 0]
-    d_max = float(dists_to_root.max())
+    d_max = float(_cross_distances(X, root_loc[None, :]).max())
+    if not math.isfinite(d_max):
+        raise ValueError(f"the data's extent is not finite: the largest distance from the data mean is {d_max}")
 
     # Degenerate spread (d_max <= epsilon, where log2(d_max / epsilon) is
     # nonpositive): one level-1 node at the mean covers the data.
@@ -202,61 +200,60 @@ def build(
     while math.ldexp(epsilon, L) < d_max:
         L += 1
     radii = [math.ldexp(epsilon, L - ell) for ell in range(L + 1)]
-    # Neighbor radius 4 R_ell: the smallest constant multiple that both
-    # carries neighbor sets down the levels (a parent of anything within
-    # 4 R_ell lies within 2 R_(ell-1) + 2 R_ell = 4 R_(ell-1)) and catches
-    # every node able to compete with a new child (within 2.5 R_(ell-1)).
-    neighbor_radii = [4.0 * radii[ell] for ell in range(L + 1)]
 
-    root = CoverTreeNode(location=root_loc, parent=None, r_neighbors=[0], assigned=np.arange(n))
-    levels = [[root]]
+    # Level 0 is the root at the data mean, holding every datum.
+    levels, parents, labels, neighbors = [root_loc[None, :]], [np.array([-1])], [np.zeros(n, dtype=int)], [[[0]]]
     if degenerate:
-        root.children.append(0)
-        levels.append([CoverTreeNode(location=root_loc.copy(), parent=0, r_neighbors=[0], assigned=np.arange(n))])
+        levels.append(root_loc[None, :].copy())
+        parents.append(np.array([0]))
+        labels.append(np.zeros(n, dtype=int))
+        neighbors.append([[0]])
+    # The previous level's assigned sets: each node's points in index order.
+    assigned = [np.arange(n)]
 
     for ell in range(len(levels), L + 1):
         R = radii[ell]
-        prev = levels[ell - 1]
-        pools = [node.assigned for node in prev]
-        prev_locs = np.vstack([node.location for node in prev])
+        prev_locs, prev_nbrs = levels[-1], neighbors[-1]
+        pools = list(assigned)
+        # children[p]: the nodes made so far whose parent is node p of the previous level
+        children: list[list[int]] = [[] for _ in prev_nbrs]
         # Triangle-inequality pruning: every point assigned to a node of the
         # previous level lies within R_(ell-1) = 2R of it.  A previous-level
         # node farther than 3R from a new node therefore holds no point within
         # R of it: none of its points can be claimed by the new node, and none
         # has the new node as its nearest (each point has a node within R).
         reach = 3.0 * R * (1.0 + _PRUNE_SLACK)
-        new_nodes: list[CoverTreeNode] = []
         # Every node claims at least its seed point, so a level has at most n.
         locs = np.empty((n, dim))
+        parent: list[int] = []
+        label = np.empty(n, dtype=int)
 
-        for p, parent in enumerate(prev):
+        for p, nbrs_p in enumerate(prev_nbrs):
             while pools[p].size > 0:
                 pool = pools[p]
-                zeta_idx = int(pool[np.argmin(rank[pool])])
-                zeta = X[zeta_idx]
+                zeta = X[int(pool[np.argmin(rank[pool])])]
                 if lloyd_averaging:
                     near = _cross_distances(X.take(pool, axis=0), zeta[None, :])[:, 0] <= R
                     zeta_avg = X.take(pool[near], axis=0).mean(axis=0)
-                    cand_ids = [c for r in parent.r_neighbors for c in prev[r].children]
-                    ok_separated = True
-                    if cand_ids:
-                        cand_locs = locs.take(cand_ids, axis=0)
-                        ok_separated = bool(
-                            _cross_distances(zeta_avg[None, :], cand_locs)[0].min() > R
-                        )
+                    cand_ids = [c for r in nbrs_p for c in children[r]]
+                    ok_separated = not cand_ids or bool(
+                        _cross_distances(zeta_avg[None, :], locs.take(cand_ids, axis=0))[0].min() > R
+                    )
                     # The average of points within R of zeta stays within R of
                     # zeta in exact arithmetic; re-check in floats so the new
                     # node always claims its seed point and the loop advances.
                     covers_seed = bool(_cross_distances(zeta_avg[None, :], zeta[None, :])[0, 0] <= R)
                     if ok_separated and covers_seed:
                         zeta = zeta_avg
-                node_loc = np.array(zeta, dtype=float)
+                c = len(parent)
+                locs[c] = zeta
+                node = locs[c : c + 1]
                 # One distance call over the concatenated pools of the parent's
                 # R-neighbors within reach; the result is split back into the pools.
-                nbrs = np.array([r for r in parent.r_neighbors if pools[r].size])
-                nbrs = nbrs[_cross_distances(prev_locs.take(nbrs, axis=0), node_loc[None, :])[:, 0] <= reach]
+                nbrs = np.array([r for r in nbrs_p if pools[r].size])
+                nbrs = nbrs[_cross_distances(prev_locs.take(nbrs, axis=0), node)[:, 0] <= reach]
                 cat = np.concatenate([pools[r] for r in nbrs])
-                within = _cross_distances(X.take(cat, axis=0), node_loc[None, :])[:, 0] <= R
+                within = _cross_distances(X.take(cat, axis=0), node)[:, 0] <= R
                 start = 0
                 for r in nbrs:
                     stop = start + pools[r].size
@@ -264,29 +261,28 @@ def build(
                     if not kept.all():
                         pools[r] = pools[r][kept]
                     start = stop
-                c = len(new_nodes)
-                assigned = np.sort(cat[within])
-                new_nodes.append(CoverTreeNode(location=node_loc, parent=p, assigned=assigned))
-                locs[c] = node_loc
-                parent.children.append(c)
+                label[cat[within]] = c
+                parent.append(p)
+                children[p].append(c)
 
-        locs = locs[: len(new_nodes)]
-        # R-neighbors: only children of the parent's R-neighbors can be close
-        # enough; within that candidate set, keep those inside the radius.
-        # Siblings share the candidate set, so each parent takes one call.
-        cands: list[np.ndarray] = []
-        for parent in prev:
-            cand = np.array(sorted(c for r in parent.r_neighbors for c in prev[r].children), dtype=int)
+        m = len(parent)
+        locs = locs[:m].copy()
+        # R-neighbors lie within 4R: the smallest multiple of R that both carries
+        # neighbor sets down the levels (a parent of anything within 4 R_ell lies
+        # within 2 R_(ell-1) + 2 R_ell = 4 R_(ell-1)) and catches every node able
+        # to compete with a new child (within 2.5 R_(ell-1)).  Only children of
+        # the parent's R-neighbors can be that close; siblings are consecutive
+        # and share that candidate set, so each parent takes one call.
+        cands, nbrs_new = [], []
+        for p, nbrs_p in enumerate(prev_nbrs):
+            cand = np.array(sorted(c for r in nbrs_p for c in children[r]), dtype=int)
             cands.append(cand)
-            if parent.children:
-                d = _cross_distances(locs.take(parent.children, axis=0), locs.take(cand, axis=0))
-                for c, row in zip(parent.children, d <= neighbor_radii[ell]):
-                    new_nodes[c].r_neighbors = cand[row].tolist()
+            if children[p]:
+                d = _cross_distances(locs.take(children[p], axis=0), locs.take(cand, axis=0))
+                nbrs_new.extend(cand[row].tolist() for row in d <= 4.0 * R)
 
         if voronoi_repartition:
-            label = np.empty(n, dtype=int)
-            for r, prev_node in enumerate(prev):
-                orig = prev_node.assigned
+            for r, orig in enumerate(assigned):
                 if orig.size == 0:
                     continue
                 cand = cands[r]
@@ -294,25 +290,19 @@ def build(
                 d = _cross_distances(X.take(orig, axis=0), locs.take(cand, axis=0))
                 # cand is sorted, so ties resolve to the lowest node index
                 label[orig] = cand[np.argmin(d, axis=1)]
-            # The previous level's assigned sets partition the data, so every
-            # label is set; a stable sort groups the points by node in index order.
-            order = np.argsort(label, kind="stable")
-            bounds = np.cumsum(np.bincount(label, minlength=len(new_nodes)))[:-1]
-            for node, assigned in zip(new_nodes, np.split(order, bounds)):
-                node.assigned = assigned
-
-        levels.append(new_nodes)
+        # The claims empty every pool, and the Voronoi pass relabels every
+        # assigned set of the previous level, so every label is set; a stable
+        # sort groups the points by node in index order.
+        order = np.argsort(label, kind="stable")
+        assigned = np.split(order, np.cumsum(np.bincount(label, minlength=m))[:-1])
+        levels.append(locs)
+        parents.append(np.array(parent))
+        labels.append(label)
+        neighbors.append(nbrs_new)
 
     return CoverTree(
-        epsilon=epsilon,
-        d_max=d_max,
-        L=L,
-        radii=radii,
-        neighbor_radii=neighbor_radii,
-        levels=levels,
-        seed=seed,
-        lloyd_averaging=lloyd_averaging,
-        voronoi_repartition=voronoi_repartition,
+        epsilon=epsilon, d_max=d_max, radii=radii, levels=levels, parents=parents, labels=labels,
+        neighbors=neighbors, seed=seed, lloyd_averaging=lloyd_averaging, voronoi_repartition=voronoi_repartition,
     )
 
 
@@ -323,7 +313,7 @@ def inducing_points(tree: CoverTree, level: Optional[int] = None) -> InducingSet
     if not 0 <= level <= tree.L:
         raise ValueError(f"level must be in [0, {tree.L}], got {level}")
     return InducingSet(
-        tree.level_locations(level),
+        tree.levels[level].copy(),
         {"method": "covertree", "level": level, "epsilon": tree.epsilon, "seed": tree.seed},
     )
 
@@ -379,19 +369,15 @@ def leaf_resolution(tree: CoverTree, data) -> float:
     """spatial_resolution(data, inducing_points(tree)) in O(N), for a tree built
     from data with voronoi_repartition; any other tree raises ValueError.
 
-    The deepest level's assigned sets are then the nearest-point labels, ties
-    included, and _cross_distances gives a pair the same value in any call
-    shape, so the largest distance from each leaf to its own points is the
-    full scan's result bit for bit.
+    The deepest level's labels are then the nearest-point labels, ties
+    included, and _distances gives a pair the same value in any call shape,
+    so the largest distance from a datum to its own leaf is the full scan's
+    result bit for bit.
     """
     if not tree.voronoi_repartition:
         raise ValueError("leaf_resolution needs a tree built with voronoi_repartition")
     X = _as_points(data)
-    return max(
-        float(_cross_distances(X.take(node.assigned, axis=0), node.location[None, :]).max())
-        for node in tree.levels[tree.L]
-        if node.assigned.size
-    )
+    return float(_distances(X, tree.levels[-1].take(tree.labels[-1], axis=0)).max())
 
 
 def cluster_assign(data, z: Union[InducingSet, np.ndarray]) -> ClusterAssignment:

@@ -1,17 +1,18 @@
 """Mutation check of the thresholds the conditioning promise rests on.
 
 Each mutant is a literal text substitution that loosens one line of the
-package.  The runner applies it to a temporary copy of the checkout, runs the
+package: a bound, a gate, or a comparison of the cover-tree build whose
+separated levels the bounds assume.  The runner applies it to a temporary copy of the checkout, runs the
 test suite there with -x, and counts the mutant killed when the suite fails.
 The unmutated copy runs first and must pass, so a broken checkout cannot pass
-for eight kills.  Not collected by the package's test run (the file name does
+for ten kills.  Not collected by the package's test run (the file name does
 not match pytest's test patterns); run it from the checkout root:
 
     python3 tests/mutants.py [NAME ...]
 
 It exits 0 when every mutant run is killed and 1 when one survives; 2 means
 the checkout does not fit the list (the unmutated suite fails, or a mutant's
-text is not found exactly once).  The full list takes about 12 minutes on
+text is not found exactly once).  The full list takes about 15 minutes on
 2 cores.
 """
 
@@ -66,6 +67,16 @@ MUTANTS = {
         "diagnostics.py",
         "n_pred = max(model.m, 11)",
         "n_pred = 11",
+    ),
+    "claim-strictly-inside-R": (
+        "covertree.py",
+        "within = _cross_distances(X.take(cat, axis=0), node)[:, 0] <= R",
+        "within = _cross_distances(X.take(cat, axis=0), node)[:, 0] < R",
+    ),
+    "prune-beyond-2R": (
+        "covertree.py",
+        "reach = 3.0 * R * (1.0 + _PRUNE_SLACK)",
+        "reach = 2.0 * R * (1.0 + _PRUNE_SLACK)",
     ),
 }
 

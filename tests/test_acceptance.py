@@ -61,8 +61,7 @@ def test_criterion_1_cover_tree_guarantees(acceptance_log):
         epsilon = spread * 2.0 ** (-float(rng.uniform(1.0, 6.0)))
         lloyd, voronoi = combos[i % 4]
         tree = build(X, epsilon=epsilon, lloyd_averaging=lloyd, voronoi_repartition=voronoi, seed=i)
-        for ell in range(tree.L + 1):
-            pts = tree.level_locations(ell)
+        for ell, pts in enumerate(tree.levels):
             threshold = tree.epsilon * 2.0 ** (tree.L - ell)
             if not (separation(pts) >= threshold and spatial_resolution(X, pts) <= threshold):
                 violations.append((i, ell))

@@ -295,6 +295,21 @@ def test_select_covertree_wide_epsilon_single_point(tmp_path):
     assert obj["metrics"]["separation"] is None
 
 
+def test_select_covertree_rejects_data_of_infinite_extent(tmp_path, capsys):
+    # every coordinate is finite, but squared differences of 1e200-sized
+    # coordinates overflow, so the distance from the mean to the data is inf
+    X = np.random.default_rng(0).uniform(-5.0, 5.0, size=(500, 2)) * 1e200
+    data = tmp_path / "huge.csv"
+    write_csv_dataset(str(data), Dataset(X, np.zeros(500)))
+    out = tmp_path / "z.json"
+    code = main(["select", str(data), "--method", "covertree", "--epsilon", "1e199", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the data's extent is not finite: the largest distance from the data mean is inf\n"
+    )
+    assert not out.exists()
+
+
 def test_select_uniform_all_points(tmp_path, small_csv):
     out = tmp_path / "z.json"
     code = main(["select", str(small_csv), "--method", "uniform", "--m", "40", "--out", str(out)])
@@ -600,8 +615,10 @@ def test_fit_failure_with_nearly_coinciding_inducing_points_exits_numerical(tmp_
     ]
     assert main(args) == EXIT_NUMERICAL
     report, failure = capsys.readouterr().err.splitlines()
-    report = json.loads(report)["stability_report"]
-    assert report["cg_iteration_bound"] == math.inf and report["cholesky_ok_double"] is False
+    # strict JSON: the infinite bounds are written as null
+    report = _strict_json(report)["stability_report"]
+    assert report["cg_iteration_bound"] is None and report["observed"]["cond"] is None
+    assert report["cholesky_ok_double"] is False
     assert failure == "numerical failure: Cholesky factorization 'kzz_plus_lambda' failed: n=3"
 
 
@@ -659,7 +676,7 @@ def test_sweep_resolution_table(tmp_path, monkeypatch):
 
 
 def factored_in_sweep(monkeypatch):
-    """The solve log's Cholesky entries and every matrix factored by a small two-d sweep."""
+    """The rows of a small two-d sweep, its solve log's Cholesky entries and every matrix it factored."""
     from scipy import linalg as sla
 
     from stablegp import linalg
@@ -675,19 +692,22 @@ def factored_in_sweep(monkeypatch):
     with linalg.solve_log() as log:
         rows = cli.sweep_resolution_rows(d_list=[1, 2], n=300, epsilons=[0.3, 1.2], seeds=[0], sigma2=0.1)
     assert all(row["status"] == "ok" for row in rows)
-    return [e for e in log if e["kind"] == "cholesky"], matrices
+    return rows, [e for e in log if e["kind"] == "cholesky"], matrices
 
 
 def test_sweep_factors_one_size_n_matrix_per_problem(monkeypatch):
-    logged, _ = factored_in_sweep(monkeypatch)
+    rows, logged, _ = factored_in_sweep(monkeypatch)
     # one (d, seed) problem per d: its K_xx + sigma2 I is the only n x n factorization
     assert [(e["tag"], e["n"]) for e in logged if e["n"] == 300] == [("kzz_plus_lambda", 300)] * 2
+    # and each model's K_zz + Lambda is factored once, by its posterior: the
+    # cond and cg_iterations columns use the matrix, not a second factor
+    assert [e["n"] for e in logged if e["n"] != 300] == [row["m"] for row in rows]
     # the exact GP is the singleton clustered model, so nothing else is factored
     assert {e["tag"] for e in logged} == {"kzz_plus_lambda"}
 
 
 def test_sweep_factors_only_matrices_cholesky_provably_handles(monkeypatch):
-    _, matrices = factored_in_sweep(monkeypatch)
+    _, _, matrices = factored_in_sweep(monkeypatch)
     assert len(matrices) > 2
     for A in matrices:
         cond = spectrum(A).cond

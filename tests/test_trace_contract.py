@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablegp import ClusteredModel, Family, Kernel, clustered_posterior
+from stablegp import ClusteredModel, Family, Kernel, build, clustered_posterior, inducing_points
 from stablegp import cli, linalg
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -69,6 +69,15 @@ def test_posterior_counter_reads_both_return_shapes(full_cov):
     belief = clustered_posterior(model, Q, full_cov=full_cov)
     counts = call.counter({"model": model, "query": Q, "full_cov": full_cov}, belief)
     assert counts == {"queries": len(Q)}
+
+
+def test_build_counter_reads_a_real_tree():
+    (call,) = [c for c in LAYER_CALLS if (c.module, c.function) == ("stablegp.covertree", "build")]
+    X = np.random.default_rng(1).uniform(-2.0, 2.0, size=(300, 2))
+    tree = build(X, 0.3)
+    nodes = sum(inducing_points(tree, ell).m for ell in range(tree.L + 1))
+    assert nodes > inducing_points(tree).m > 1
+    assert call.counter({"data": X, "epsilon": 0.3}, tree) == {"nodes": nodes, "m": inducing_points(tree).m}
 
 
 # CG on a diagonal matrix takes one iteration per eigenvalue the right-hand
