@@ -32,7 +32,6 @@ from .kernels import (
     Family,
     Kernel,
     decay_envelope,
-    eval_kernel,
     gram,
     gram_gradients,
     kms_matrix,
@@ -46,7 +45,6 @@ from .linalg import (
     cholesky,
     cholesky_stability_predicate,
     conjugate_gradient,
-    hutchinson_trace,
     spectrum,
     wasserstein2_gaussians,
 )
@@ -71,11 +69,10 @@ __all__ = [
     "inducing_points", "select_kmeans", "select_uniform", "separation", "spatial_resolution",
     "KmsCondBounds", "StabilityReport", "cg_iteration_bound", "cond_bound_with_noise",
     "kms_cond_bounds", "lambda_max_bound", "stability_report",
-    "DecayEnvelope", "Family", "Kernel", "decay_envelope", "eval_kernel", "gram",
-    "gram_gradients", "kms_matrix",
+    "DecayEnvelope", "Family", "Kernel", "decay_envelope", "gram", "gram_gradients", "kms_matrix",
     "CGReport", "CholeskyOutcome", "NumericalFailure",
     "SpectrumSummary", "cho_solve", "cholesky", "cholesky_stability_predicate",
-    "conjugate_gradient", "hutchinson_trace", "spectrum", "wasserstein2_gaussians",
+    "conjugate_gradient", "spectrum", "wasserstein2_gaussians",
     "ClusteredModel", "Dataset", "GaussianBelief", "TrainConfig", "TrainResult",
     "clustered_posterior", "exact_posterior", "fit_clustered", "kl_to_prior",
     "sample_targets", "sgpr_posterior", "train", "training_objective",

@@ -187,14 +187,6 @@ def _checked_rows(path: str, fh, width: int, header_lines: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_csv_dataset(path: str, data: Dataset) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i + 1}" for i in range(data.d)] + ["y"])
-        for xi, yi in zip(data.X, data.y):
-            w.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-
-
 # ---------------------------------------------------------------------------
 # tables with provenance
 
@@ -236,30 +228,6 @@ def write_table(path: str, args: argparse.Namespace, fieldnames: list, rows: lis
         for row in rows:
             w.writerow(row)
     _write_json(path + ".config.json", {"command": command, "config_hash": digest, "config": config})
-
-
-def read_table(path: str):
-    """Provenance metadata and rows (numeric fields parsed) of a table."""
-    meta, rows = {}, []
-    with open(path, newline="") as fh:
-        header_lines = []
-        for line in fh:
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key] = val
-            else:
-                header_lines.append(line)
-                break
-        reader = csv.DictReader(header_lines + list(fh))
-        for raw in reader:
-            row = {}
-            for k, v in raw.items():
-                try:
-                    row[k] = float(v)
-                except (TypeError, ValueError):
-                    row[k] = v
-            rows.append(row)
-    return meta, rows
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +277,8 @@ def _sweep_kernel(d: int) -> Kernel:
     return Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.full(d, 0.5 * math.sqrt(d)))
 
 
-def _synthetic_problem(d: int, n: int, sigma2: float, seed: int, query=None):
-    """The sweep's data for (d, seed) and, given a query, the exact posterior there.
+def _synthetic_problem(d: int, n: int, sigma2: float, seed: int, query):
+    """The sweep's data for (d, seed) and the exact posterior at query.
 
     X is the first draw of default_rng((seed, d, n)) and the targets are
     sample_targets at the plain seed, so building the data and its exact
@@ -319,15 +287,6 @@ def _synthetic_problem(d: int, n: int, sigma2: float, seed: int, query=None):
     X = np.random.default_rng((seed, d, n)).uniform(-5.0, 5.0, size=(n, d))
     y, exact = sample_targets(_sweep_kernel(d), sigma2, X, seed, query)
     return Dataset(X, y), exact
-
-
-def synthetic_prior_dataset(d: int, n: int, sigma2: float, seed: int) -> Dataset:
-    """The sweep's dataset for (d, seed): inputs uniform on [-5, 5]^d, targets y ~ N(0, K_xx + sigma2 I).
-
-    y has the law of a draw from the default prior plus N(0, sigma2) noise,
-    drawn from that marginal directly (see sample_targets).
-    """
-    return _synthetic_problem(d, n, sigma2, seed)[0]
 
 
 def sweep_resolution_rows(d_list, n: int, epsilons, seeds, sigma2: float) -> list:
@@ -543,7 +502,14 @@ def cmd_predict(args) -> int:
     if Xq.shape[1] != model.z.shape[1]:
         raise UsageError(f"query dimension {Xq.shape[1]} does not match model dimension {model.z.shape[1]}")
     belief = clustered_posterior(model, Xq, full_cov=False)
-    stddev = np.sqrt(np.clip(belief.var, 0.0, None))
+    worst = int(np.argmin(belief.var))
+    if belief.var[worst] < 0.0:
+        count = int(np.count_nonzero(belief.var < 0.0))
+        raise NumericalFailure(
+            f"{count} of {len(belief.var)} posterior variances are negative, "
+            f"the most negative {float(belief.var[worst])!r} at query {worst}"
+        )
+    stddev = np.sqrt(belief.var)
     rows = [{"mean": m, "stddev": s} for m, s in zip(belief.mean.tolist(), stddev.tolist())]
     write_table(args.out, args, ["mean", "stddev"], rows)
     if has_y:

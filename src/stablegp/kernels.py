@@ -7,7 +7,6 @@ the supported radial profiles.  Lengthscales are per-dimension (ARD).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +17,6 @@ __all__ = [
     "Family",
     "Kernel",
     "DecayEnvelope",
-    "eval_kernel",
     "gram",
     "gram_gradients",
     "kms_matrix",
@@ -126,8 +124,6 @@ class Kernel:
 
     @staticmethod
     def from_json(obj) -> "Kernel":
-        if isinstance(obj, (str, bytes)):
-            obj = json.loads(obj)
         return Kernel(Family(obj["family"]), float(obj["variance"]), np.asarray(obj["lengthscales"], dtype=float))
 
 
@@ -163,16 +159,6 @@ def _check_points(X: np.ndarray, dim: int, name: str) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != dim:
         raise ValueError(f"{name} has dimension {X.shape[-1] if X.ndim else '?'}, kernel expects {dim}")
     return X
-
-
-def eval_kernel(k: Kernel, x, xp) -> float:
-    """Evaluate k(x, x') for a single pair of points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    if x.shape != xp.shape or x.size != k.dim:
-        raise ValueError(f"point dimensions {x.size}/{xp.size} do not match kernel dimension {k.dim}")
-    u = math.sqrt(float(np.sum(((x - xp) / k.lengthscales) ** 2)))
-    return float(k.variance * _profile(k.family, np.asarray(u)))
 
 
 def _scaled_dists(A: np.ndarray, B: np.ndarray, ls: np.ndarray) -> np.ndarray:

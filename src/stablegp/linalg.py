@@ -2,12 +2,12 @@
 
 Cholesky that returns a factor of the matrix itself or raises
 NumericalFailure, conjugate gradients with iteration accounting, exact
-extremal eigenvalues and condition numbers, Hutchinson trace estimation, and
-the closed-form 2-Wasserstein distance between Gaussians.  It holds no
-numerical policy (a caller that wants jitter shifts the matrix itself) and
-keeps no record: only inside a `with solve_log() as log:` block is each
-factorization and solve made here appended to log, which is how tests
-assert the no-bare-K_zz discipline of the sparse GP fitting path.
+extremal eigenvalues and condition numbers, and the closed-form 2-Wasserstein
+distance between Gaussians.  It holds no numerical policy (a caller that
+wants jitter shifts the matrix itself) and keeps no record: only inside a
+`with solve_log() as log:` block is each factorization and solve made here
+appended to log, which is how tests assert the no-bare-K_zz discipline of
+the sparse GP fitting path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "cho_solve",
     "conjugate_gradient",
     "spectrum",
-    "hutchinson_trace",
     "wasserstein2_gaussians",
     "cholesky_stability_predicate",
 ]
@@ -89,7 +88,11 @@ class SpectrumSummary:
     cond: float
 
 
-def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+# Largest |A - A.T| entry accepted as symmetric, relative to max(1, max|A|).
+_SYMMETRY_RTOL = 1e-8
+
+
+def _check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -99,7 +102,7 @@ def _check_symmetric(A: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     # so the largest entry of A - A.T is its largest magnitude.  A NaN entry
     # makes both maxima NaN, so such a matrix passes this check.
     scale = max(1.0, float(A.max()), float(-A.min()))
-    if (A - A.T).max() > rtol * scale:
+    if (A - A.T).max() > _SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric")
     return A
 
@@ -211,22 +214,6 @@ def spectrum(A: np.ndarray) -> SpectrumSummary:
     lam_max, lam_min = float(ev[-1]), float(ev[0])
     cond = lam_max / lam_min if lam_min > 0.0 else math.inf
     return SpectrumSummary(lam_max, lam_min, cond)
-
-
-def hutchinson_trace(
-    matvec: Callable[[np.ndarray], np.ndarray], n: int, probes: int, seed: int
-) -> dict:
-    """Rademacher trace estimator: average of v^T A v over probe vectors."""
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    rng = np.random.default_rng(seed)
-    quads = np.empty(probes)
-    for i in range(probes):
-        v = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-        quads[i] = float(v @ matvec(v))
-    estimate = float(np.mean(quads))
-    stderr = float(np.std(quads, ddof=1) / math.sqrt(probes)) if probes > 1 else 0.0
-    return {"estimate": estimate, "stderr": stderr}
 
 
 def _psd_sqrt(S: np.ndarray) -> np.ndarray:

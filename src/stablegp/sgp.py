@@ -110,6 +110,8 @@ class ClusteredModel:
         counts = np.ascontiguousarray(self.cluster_counts, dtype=int).reshape(-1)
         if not (len(u) == len(lam) == len(counts) == z.shape[0]):
             raise ValueError("z, u, lambda and cluster_counts must have matching lengths")
+        if self.kernel.dim != z.shape[1]:
+            raise ValueError(f"inducing points have dimension {z.shape[1]}, kernel expects {self.kernel.dim}")
         if not 0.0 < self.noise_sigma2 < math.inf:
             raise ValueError("noise_sigma2 must be finite and positive")
         if not ((lam > 0.0) & (lam < math.inf)).all():
@@ -260,6 +262,8 @@ def fit_clustered(
     cluster means are only defined over nonempty clusters.
     """
     Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
+    if data.d != Z.shape[1]:
+        raise ValueError(f"data has dimension {data.d}, inducing points have dimension {Z.shape[1]}")
     labels, counts = cluster_assign(data.X, Z)
     nonempty = counts > 0
     if not nonempty.all():

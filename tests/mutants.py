@@ -1,12 +1,13 @@
 """Mutation check of the thresholds the conditioning promise rests on.
 
 Each mutant is a literal text substitution that loosens one line of the
-package: a bound, a gate, or a comparison of the cover-tree build whose
-separated levels the bounds assume.  The runner applies it to a temporary copy of the checkout, runs the
-test suite there with -x, and counts the mutant killed when the suite fails.
-The unmutated copy runs first and must pass, so a broken checkout cannot pass
-for ten kills.  Not collected by the package's test run (the file name does
-not match pytest's test patterns); run it from the checkout root:
+package: a bound, a gate, a refusal, or a comparison of the cover-tree build
+whose separated levels the bounds assume.  The runner applies it to a
+temporary copy of the checkout, runs the test suite there with -x, and counts
+the mutant killed when the suite fails.  The unmutated copy runs first and
+must pass, so a broken checkout cannot pass for a full set of kills.  Not
+collected by the package's test run (the file name does not match pytest's
+test patterns); run it from the checkout root:
 
     python3 tests/mutants.py [NAME ...]
 
@@ -77,6 +78,11 @@ MUTANTS = {
         "covertree.py",
         "reach = 3.0 * R * (1.0 + _PRUNE_SLACK)",
         "reach = 2.0 * R * (1.0 + _PRUNE_SLACK)",
+    ),
+    "negative-variance-below-minus-1": (
+        "cli.py",
+        "if belief.var[worst] < 0.0:",
+        "if belief.var[worst] < -1.0:",
     ),
 }
 

@@ -24,7 +24,6 @@ from stablegp import (
     decay_envelope,
     fit_clustered,
     gram,
-    hutchinson_trace,
     inducing_points,
     kl_to_prior,
     kms_cond_bounds,
@@ -39,6 +38,7 @@ from stablegp import (
 )
 from stablegp.cli import kms_demo_rows, sweep_resolution_rows
 from stablegp.linalg import solve_log
+from support import hutchinson_trace
 
 FAMILIES = [Family.SQUARED_EXPONENTIAL, Family.MATERN12, Family.MATERN32, Family.MATERN52]
 

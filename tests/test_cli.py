@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -39,11 +40,9 @@ from stablegp.cli import (
     EXIT_USAGE,
     load_csv,
     main,
-    read_table,
-    synthetic_prior_dataset,
-    write_csv_dataset,
 )
 from stablegp.sgp import shifted_gram
+from support import read_table, write_csv_dataset
 
 
 @pytest.fixture()
@@ -414,7 +413,7 @@ def test_fit_zero_steps_matches_library_fit(tmp_path, small_csv, kernel_json):
     obj = _strict_json(model_path.read_text())
     data = load_csv(str(small_csv))
     z = np.asarray(json.loads(z_path.read_text())["points"], dtype=float)
-    kernel = Kernel.from_json(kernel_json.read_text())
+    kernel = Kernel.from_json(json.loads(kernel_json.read_text()))
     want = fit_clustered(data, z, kernel, 0.1)
     assert np.allclose(np.asarray(obj["u"]), want.u, atol=0.0)
     assert np.allclose(np.asarray(obj["lambda"]), want.lam, atol=0.0)
@@ -430,7 +429,7 @@ def test_fit_deterministic_under_seed(tmp_path, small_csv, kernel_json):
 
 def test_fit_training_log_mostly_nonincreasing(tmp_path, kernel_json):
     rng = np.random.default_rng(7)
-    data = synthetic_prior_dataset(d=2, n=300, sigma2=0.09, seed=5)
+    data = cli._synthetic_problem(2, 300, 0.09, 5, np.zeros((1, 2)))[0]
     path = tmp_path / "synth.csv"
     write_csv_dataset(str(path), data)
     z_path = tmp_path / "z.json"
@@ -576,6 +575,56 @@ def test_predict_rejects_queries_of_another_dimension(tmp_path, small_csv, kerne
     assert capsys.readouterr().err == "error: query dimension 3 does not match model dimension 2\n"
 
 
+@pytest.mark.parametrize(
+    "z_points, kernel_ls, message",
+    [
+        ([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0, 1.0], "inducing points have dimension 2, kernel expects 3"),
+        ([[0.0], [1.0]], [1.0], "data has dimension 2, inducing points have dimension 1"),
+    ],
+    ids=["kernel", "inducing-points"],
+)
+def test_fit_rejects_mismatched_dimensions(tmp_path, small_csv, capsys, z_points, kernel_ls, message):
+    z_path = tmp_path / "z.json"
+    z_path.write_text(json.dumps({"points": z_points, "provenance": {}}))
+    kernel_path = tmp_path / "k.json"
+    kernel_path.write_text(json.dumps(Kernel(Family.MATERN32, 1.0, np.array(kernel_ls)).to_json()))
+    out = tmp_path / "m.json"
+    assert main(["fit", str(small_csv), str(z_path), str(kernel_path), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists() and not (tmp_path / "m.json.log.csv").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_predict_refuses_negative_variances(tmp_path, capsys):
+    # at sigma2 = 1e-16 the posterior variance at an inducing point is at most
+    # sigma2 / N_j, about 1e-17, below the rounding of variance - colsum(K_zq * S),
+    # so some computed variances come out negative; they used to be written as
+    # a standard deviation of exactly 0
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-5.0, 5.0, size=(2000, 2))
+    data_path = tmp_path / "d.csv"
+    write_csv_dataset(str(data_path), Dataset(X, np.sin(X[:, 0]) + 0.1 * rng.standard_normal(2000)))
+    kernel_path = tmp_path / "k.json"
+    kernel_path.write_text(json.dumps(Kernel(Family.MATERN32, 1.0, np.array([0.7, 0.7])).to_json()))
+    z_path, model_path = tmp_path / "z.json", tmp_path / "m.json"
+    assert main(["select", str(data_path), "--method", "covertree", "--epsilon", "0.5", "--out", str(z_path)]) == EXIT_OK
+    fit = ["fit", str(data_path), str(z_path), str(kernel_path), "--sigma2", "1e-16", "--out", str(model_path)]
+    assert main(fit) == EXIT_OK
+    z = json.loads(model_path.read_text())["z"]
+    assert len(z) == 220
+    query = tmp_path / "q.csv"
+    query.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in z))
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    assert main(["predict", str(model_path), str(query), "--out", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+    found = re.fullmatch(
+        r"numerical failure: (\d+) of 220 posterior variances are negative, the most negative (\S+) at query (\d+)\n",
+        capsys.readouterr().err,
+    )
+    assert found is not None
+    assert int(found[1]) >= 1 and float(found[2]) < 0.0 and int(found[3]) < 220
+
+
 def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
     assert main([]) == EXIT_USAGE
     assert main(["select", str(small_csv), "--method", "nope", "--out", "x"]) == EXIT_USAGE
@@ -653,7 +702,7 @@ def test_sweep_resolution_table(tmp_path, monkeypatch):
         ms = [r["m"] for r in group]
         assert ms[0] == max(ms)
     # cond column is bracketed by the theoretical bound recomputed per row
-    data_by_seed = {s: synthetic_prior_dataset(1, 120, 0.1, s) for s in (0, 1)}
+    data_by_seed = {s: cli._synthetic_problem(1, 120, 0.1, s, np.zeros((1, 1)))[0] for s in (0, 1)}
     from stablegp import build, inducing_points
 
     grid = cli.query_grid(1, np.full(1, -5.0), np.full(1, 5.0))
@@ -773,7 +822,7 @@ def test_sweep_resolution_rejects_out_of_range_flags(tmp_path, capsys, flag, val
 
 def test_datasize_sweep_table(tmp_path):
     rng = np.random.default_rng(3)
-    data = synthetic_prior_dataset(d=2, n=600, sigma2=0.04, seed=9)
+    data = cli._synthetic_problem(2, 600, 0.04, 9, np.zeros((1, 2)))[0]
     path = tmp_path / "geo.csv"
     write_csv_dataset(str(path), data)
     out = tmp_path / "table.csv"
@@ -797,7 +846,7 @@ def test_datasize_sweep_table(tmp_path):
 
 def test_datasize_sweep_accepts_smallest_sizes(tmp_path):
     path = tmp_path / "geo.csv"
-    write_csv_dataset(str(path), synthetic_prior_dataset(d=2, n=60, sigma2=0.04, seed=9))
+    write_csv_dataset(str(path), cli._synthetic_problem(2, 60, 0.04, 9, np.zeros((1, 2)))[0])
     out = tmp_path / "table.csv"
     args = ["datasize-sweep", str(path), "--n-list", "2", "--m-list", "1", "--methods", "covertree", "--out", str(out)]
     assert main(args) == EXIT_OK
@@ -808,7 +857,7 @@ def test_datasize_sweep_accepts_smallest_sizes(tmp_path):
 
 def test_datasize_sweep_trains_every_method(tmp_path):
     path = tmp_path / "geo.csv"
-    write_csv_dataset(str(path), synthetic_prior_dataset(d=2, n=80, sigma2=0.04, seed=9))
+    write_csv_dataset(str(path), cli._synthetic_problem(2, 80, 0.04, 9, np.zeros((1, 2)))[0])
     tables = {}
     for steps in ("0", "2"):
         out = tmp_path / f"steps{steps}.csv"

@@ -9,11 +9,11 @@ from stablegp import (
     Family,
     Kernel,
     decay_envelope,
-    eval_kernel,
     gram,
     gram_gradients,
     kms_matrix,
 )
+from support import eval_kernel
 
 ALL_FAMILIES = [
     Family.SQUARED_EXPONENTIAL,
@@ -24,16 +24,16 @@ ALL_FAMILIES = [
 
 
 def test_eval_zero_lag_is_variance():
-    x = np.array([0.3, -1.2])
+    x = np.array([[0.3, -1.2]])
     for family in ALL_FAMILIES:
         k = Kernel(family, 1.7, np.array([0.5, 2.0]))
-        assert eval_kernel(k, x, x) == pytest.approx(1.7, abs=0.0)
+        assert gram(k, x, x)[0, 0] == pytest.approx(1.7, abs=0.0)
 
 
 def test_eval_se_hand_value():
     # variance * exp(-0.5 * (sqrt(2)/1)^2) = 2 * e^-1, computed by hand
     k = Kernel(Family.SQUARED_EXPONENTIAL, 2.0, np.array([1.0]))
-    got = eval_kernel(k, np.array([0.0]), np.array([math.sqrt(2.0)]))
+    got = gram(k, np.array([[0.0]]), np.array([[math.sqrt(2.0)]]))[0, 0]
     assert got == pytest.approx(0.7357588823428847, abs=1e-15)
 
 
@@ -41,16 +41,16 @@ def test_eval_matern12_matches_kms_offdiagonal():
     r = 0.37
     rho = math.exp(-r)
     k = Kernel(Family.MATERN12, 1.0, np.array([1.0]))
-    got = eval_kernel(k, np.array([0.0]), np.array([r]))
+    got = gram(k, np.array([[0.0]]), np.array([[r]]))[0, 0]
     assert got == pytest.approx(rho, abs=1e-15)
 
 
 def test_eval_dimension_mismatch_raises():
     k = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        eval_kernel(k, np.array([0.0]), np.array([0.0]))
+        gram(k, np.array([[0.0]]), np.array([[0.0]]))
     with pytest.raises(ValueError):
-        eval_kernel(k, np.array([0.0, 0.0]), np.array([0.0, 0.0, 0.0]))
+        gram(k, np.array([[0.0, 0.0]]), np.array([[0.0, 0.0, 0.0]]))
 
 
 def test_kernel_parameter_validation():

@@ -9,7 +9,6 @@ from stablegp import (
     cholesky,
     cholesky_stability_predicate,
     conjugate_gradient,
-    hutchinson_trace,
     kms_matrix,
     spectrum,
     wasserstein2_gaussians,
@@ -17,6 +16,7 @@ from stablegp import (
 from stablegp.diagnostics import kms_cond_bounds
 from stablegp import linalg
 from stablegp.linalg import _check_symmetric, cg_multi, solve_log
+from support import hutchinson_trace
 
 
 def random_spd(rng, n, cond):
