@@ -9,7 +9,6 @@ of every matrix the solver touches.
 from .covertree import (
     ClusterAssignment,
     CoverTree,
-    InducingSet,
     build,
     cluster_assign,
     inducing_points,
@@ -65,8 +64,8 @@ from .sgp import (
 )
 
 __all__ = [
-    "ClusterAssignment", "CoverTree", "InducingSet", "build", "cluster_assign",
-    "inducing_points", "select_kmeans", "select_uniform", "separation", "spatial_resolution",
+    "ClusterAssignment", "CoverTree", "build", "cluster_assign", "inducing_points",
+    "select_kmeans", "select_uniform", "separation", "spatial_resolution",
     "KmsCondBounds", "StabilityReport", "cg_iteration_bound", "cond_bound_with_noise",
     "kms_cond_bounds", "lambda_max_bound", "stability_report",
     "DecayEnvelope", "Family", "Kernel", "decay_envelope", "gram", "gram_gradients", "kms_matrix",

@@ -54,12 +54,11 @@ class UsageError(ValueError):
 
 def load_csv(path: str) -> Dataset:
     """Dataset from a CSV with header x1,...,xd,y; rejects non-finite rows."""
-    X, y, _ = _load_csv_columns(path, require_targets=True)
-    return Dataset(X, y)
+    return Dataset(*_load_csv_columns(path, require_targets=True))
 
 
 def _load_csv_columns(path: str, require_targets: bool):
-    """Inputs, targets (None without a y column) and whether targets are present.
+    """Inputs and targets, None without a y column.
 
     The header is checked in Python.  The data rows are parsed by one
     np.loadtxt call, whose result is kept only if it has at least one row,
@@ -102,8 +101,8 @@ def _load_csv_columns(path: str, require_targets: bool):
             # also the only parse of a pipe or FIFO, which cannot be read twice
             arr = _checked_rows(path, fh, len(header), header_lines)
     if has_y:
-        return arr[:, :-1], arr[:, -1], True
-    return arr, None, False
+        return arr[:, :-1], arr[:, -1]
+    return arr, None
 
 
 def _read_header(fh) -> tuple[list, int]:
@@ -332,7 +331,7 @@ def _sweep_seed_rows(d: int, kernel: Kernel, grid: np.ndarray, n: int, epsilons,
                 cg_iterations=report.iterations,
                 status="ok",
             )
-        except (NumericalFailure, FloatingPointError) as e:
+        except NumericalFailure as e:
             row.update(m="", wasserstein2="", cond="", cg_iterations="", status=f"error: {e}")
         rows.append(row)
     return rows
@@ -366,8 +365,8 @@ def kms_demo_rows(rhos, ns, trials: int, seed: int) -> list:
     return rows
 
 
-def covertree_for_target_m(X: np.ndarray, m_target: int, seed: int) -> ct.InducingSet:
-    """Inducing set of roughly m_target points via bisection on the resolution."""
+def covertree_for_target_m(X: np.ndarray, m_target: int, seed: int) -> np.ndarray:
+    """Cover-tree inducing points, roughly m_target of them, via bisection on the resolution."""
     root = X.mean(axis=0)
     d_max = float(np.sqrt(((X - root) ** 2).sum(axis=1)).max())
     if d_max == 0.0 or m_target <= 1:
@@ -377,11 +376,11 @@ def covertree_for_target_m(X: np.ndarray, m_target: int, seed: int) -> ct.Induci
     for _ in range(16):
         mid = (lo + hi) / 2.0
         z = ct.inducing_points(ct.build(X, math.exp(mid), seed=seed))
-        if best is None or abs(z.m - m_target) < abs(best.m - m_target):
+        if best is None or abs(len(z) - m_target) < abs(len(best) - m_target):
             best = z
-        if z.m == m_target:
+        if len(z) == m_target:
             break
-        if z.m > m_target:
+        if len(z) > m_target:
             lo = mid
         else:
             hi = mid
@@ -404,7 +403,7 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
                     if method == "covertree":
                         z = covertree_for_target_m(train_set.X, m, seed)
                     elif method == "uniform":
-                        z = ct.select_uniform(train_set.X, min(m, train_set.n), seed)
+                        z = train_set.X[ct.select_uniform(train_set.X, min(m, train_set.n), seed)]
                     elif method == "kmeans":
                         z = ct.select_kmeans(train_set.X, min(m, train_set.n), 20, seed)
                     else:
@@ -416,7 +415,7 @@ def datasize_sweep_rows(data: Dataset, n_list, m_list, methods, kernel: Kernel, 
                     rmse = float(np.sqrt(np.mean((belief.mean - test_set.y) ** 2)))
                     cond = spectrum(_plus_lambda(model)).cond
                     row.update(m=model.m, cond=cond, rmse=rmse, status="ok")
-                except (NumericalFailure, FloatingPointError) as e:
+                except NumericalFailure as e:
                     row.update(m="", cond="", rmse="", status=f"error: {e}")
                 rows.append(row)
     return rows
@@ -441,25 +440,28 @@ def cmd_select(args) -> int:
             seed=args.seed,
         )
         z = ct.inducing_points(tree)
+        provenance = {"method": "covertree", "level": tree.L, "epsilon": args.epsilon, "seed": args.seed}
     elif args.method == "uniform":
-        z = ct.select_uniform(data.X, args.m, args.seed)
+        idx = ct.select_uniform(data.X, args.m, args.seed)
+        z = data.X[idx]
+        provenance = {"method": "uniform", "seed": args.seed, "indices": idx.tolist()}
     else:
         z = ct.select_kmeans(data.X, args.m, args.kmeans_iters, args.seed)
+        provenance = {"method": "kmeans", "seed": args.seed, "iters": args.kmeans_iters}
     wall_ms = (time.perf_counter() - t0) * 1e3
     if args.method == "covertree" and not args.no_voronoi:
         resolution = ct.leaf_resolution(tree, data.X)
     else:
         resolution = ct.spatial_resolution(data.X, z)
-    payload = z.to_json()
-    payload["metrics"] = {
-        "M": z.m,
+    metrics = {
+        "M": len(z),
         # a single point has no pair to measure
-        "separation": ct.separation(z) if z.m > 1 else None,
+        "separation": ct.separation(z) if len(z) > 1 else None,
         "spatial_resolution": resolution,
         "wall_time_ms": wall_ms,
     }
-    _write_json(args.out, payload)
-    print(f"wrote {args.out}: M={z.m}")
+    _write_json(args.out, {"points": z.tolist(), "provenance": provenance, "metrics": metrics})
+    print(f"wrote {args.out}: M={len(z)}")
     return EXIT_OK
 
 
@@ -472,9 +474,25 @@ def _load_json(path: str, what: str, from_json):
         raise UsageError(f"cannot load {what} from {path}: {e}") from None
 
 
+def _inducing_points_from_json(obj) -> np.ndarray:
+    """The (M, d) array under a z.json's "points"; nothing else in the file is read."""
+    z = np.asarray(obj["points"], dtype=float)
+    if z.ndim != 2 or z.size == 0:
+        raise ValueError("points must form a nonempty (n, d) array with d >= 1")
+    if not np.isfinite(z).all():
+        raise ValueError("inducing points must be finite")
+    return z
+
+
+def _print_stability_report(model: ClusteredModel) -> None:
+    """The model's stability report on stderr, as one line of strict JSON."""
+    report = _finite_or_null(dg.stability_report(model).to_json())
+    print(json.dumps({"stability_report": report}, allow_nan=False), file=sys.stderr)
+
+
 def cmd_fit(args) -> int:
     data = load_csv(args.data)
-    z = _load_json(args.z, "inducing set", ct.InducingSet.from_json)
+    z = _load_json(args.z, "inducing set", _inducing_points_from_json)
     kernel = _load_json(args.kernel, "kernel", Kernel.from_json)
     model = fit_clustered(data, z, kernel, args.sigma2)
     history = []
@@ -485,9 +503,7 @@ def cmd_fit(args) -> int:
         try:
             result = train(model, data, config)
         except NumericalFailure:
-            report = dg.stability_report(model)
-            text = json.dumps({"stability_report": _finite_or_null(report.to_json())}, allow_nan=False)
-            print(text, file=sys.stderr)
+            _print_stability_report(model)
             raise
         model, history = result.model, result.history
     _write_json(args.out, model.to_json())
@@ -498,21 +514,25 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = _load_json(args.model, "model", ClusteredModel.from_json)
-    Xq, yq, has_y = _load_csv_columns(args.query, require_targets=False)
+    Xq, yq = _load_csv_columns(args.query, require_targets=False)
     if Xq.shape[1] != model.z.shape[1]:
         raise UsageError(f"query dimension {Xq.shape[1]} does not match model dimension {model.z.shape[1]}")
-    belief = clustered_posterior(model, Xq, full_cov=False)
-    worst = int(np.argmin(belief.var))
-    if belief.var[worst] < 0.0:
-        count = int(np.count_nonzero(belief.var < 0.0))
-        raise NumericalFailure(
-            f"{count} of {len(belief.var)} posterior variances are negative, "
-            f"the most negative {float(belief.var[worst])!r} at query {worst}"
-        )
+    try:
+        belief = clustered_posterior(model, Xq, full_cov=False)
+        worst = int(np.argmin(belief.var))
+        if belief.var[worst] < 0.0:
+            count = int(np.count_nonzero(belief.var < 0.0))
+            raise NumericalFailure(
+                f"{count} of {len(belief.var)} posterior variances are negative, "
+                f"the most negative {float(belief.var[worst])!r} at query {worst}"
+            )
+    except NumericalFailure:
+        _print_stability_report(model)
+        raise
     stddev = np.sqrt(belief.var)
     rows = [{"mean": m, "stddev": s} for m, s in zip(belief.mean.tolist(), stddev.tolist())]
     write_table(args.out, args, ["mean", "stddev"], rows)
-    if has_y:
+    if yq is not None:
         rmse = float(np.sqrt(np.mean((belief.mean - yq) ** 2)))
         var_y = belief.var + model.noise_sigma2
         nlpd = float(np.mean(0.5 * np.log(2.0 * math.pi * var_y) + (yq - belief.mean) ** 2 / (2.0 * var_y)))
@@ -657,7 +677,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (NumericalFailure, FloatingPointError) as e:
+    except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as e:

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
     "CoverTree",
-    "InducingSet",
     "ClusterAssignment",
     "build",
     "inducing_points",
@@ -115,36 +114,9 @@ class CoverTree:
         return len(self.radii) - 1
 
 
-@dataclass(frozen=True)
-class InducingSet:
-    points: np.ndarray  # (M, d)
-    provenance: dict
-
-    def __post_init__(self):
-        pts = _as_points(self.points)
-        if not np.isfinite(pts).all():
-            raise ValueError("inducing points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist(), "provenance": dict(self.provenance)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "InducingSet":
-        return InducingSet(np.asarray(obj["points"], dtype=float), dict(obj["provenance"]))
-
-
 class ClusterAssignment(NamedTuple):
     labels: np.ndarray  # (N,) inducing index per datum
     counts: np.ndarray  # (M,) cluster sizes
-
-
-def _points_of(z: Union[InducingSet, np.ndarray]) -> np.ndarray:
-    return z.points if isinstance(z, InducingSet) else _as_points(z)
 
 
 def build(
@@ -306,21 +278,18 @@ def build(
     )
 
 
-def inducing_points(tree: CoverTree, level: Optional[int] = None) -> InducingSet:
-    """Locations of all nodes at the given level (deepest level by default)."""
+def inducing_points(tree: CoverTree, level: Optional[int] = None) -> np.ndarray:
+    """A copy of the (M, d) node locations at the given level (deepest level by default)."""
     if level is None:
         level = tree.L
     if not 0 <= level <= tree.L:
         raise ValueError(f"level must be in [0, {tree.L}], got {level}")
-    return InducingSet(
-        tree.levels[level].copy(),
-        {"method": "covertree", "level": level, "epsilon": tree.epsilon, "seed": tree.seed},
-    )
+    return tree.levels[level].copy()
 
 
-def separation(points: Union[InducingSet, np.ndarray]) -> float:
+def separation(points) -> float:
     """Minimum pairwise distance; +inf for a single point."""
-    P = _points_of(points)
+    P = _as_points(points)
     m = P.shape[0]
     if m == 1:
         return math.inf
@@ -360,9 +329,9 @@ def _nearest(X: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, _distances(X, P.take(labels, axis=0))
 
 
-def spatial_resolution(data, points: Union[InducingSet, np.ndarray]) -> float:
+def spatial_resolution(data, points) -> float:
     """Maximum over the data of the distance to the nearest given point."""
-    return float(_nearest(_as_points(data), _points_of(points))[1].max())
+    return float(_nearest(_as_points(data), _as_points(points))[1].max())
 
 
 def leaf_resolution(tree: CoverTree, data) -> float:
@@ -380,30 +349,25 @@ def leaf_resolution(tree: CoverTree, data) -> float:
     return float(_distances(X, tree.levels[-1].take(tree.labels[-1], axis=0)).max())
 
 
-def cluster_assign(data, z: Union[InducingSet, np.ndarray]) -> ClusterAssignment:
+def cluster_assign(data, z) -> ClusterAssignment:
     """Nearest-inducing-point labels and cluster sizes; ties pick the lowest index."""
-    P = _points_of(z)
+    P = _as_points(z)
     labels = _nearest(_as_points(data), P)[0]
     return ClusterAssignment(labels, np.bincount(labels, minlength=P.shape[0]))
 
 
-def select_uniform(data, M: int, seed: int) -> InducingSet:
-    """M distinct data points, sampled uniformly without replacement."""
-    X = _as_points(data)
-    n = X.shape[0]
+def select_uniform(data, M: int, seed: int) -> np.ndarray:
+    """Sorted indices of M distinct rows of data, sampled uniformly without replacement."""
+    n = _as_points(data).shape[0]
     if not 1 <= M <= n:
         raise ValueError(f"M must be in [1, {n}], got {M}")
-    idx = np.sort(np.random.default_rng(seed).choice(n, size=M, replace=False))
-    return InducingSet(X[idx], {"method": "uniform", "seed": seed, "indices": idx.tolist()})
+    return np.sort(np.random.default_rng(seed).choice(n, size=M, replace=False))
 
 
-def select_kmeans(data, M: int, iters: int, seed: int) -> InducingSet:
-    """Lloyd's K-means from a uniform-without-replacement initialization."""
+def select_kmeans(data, M: int, iters: int, seed: int) -> np.ndarray:
+    """(M, d) centroids of Lloyd's K-means from a uniform-without-replacement initialization."""
     X = _as_points(data)
-    n = X.shape[0]
-    if not 1 <= M <= n:
-        raise ValueError(f"M must be in [1, {n}], got {M}")
-    centroids = np.array(select_uniform(X, M, seed).points)
+    centroids = X[select_uniform(X, M, seed)]
     labels = cluster_assign(X, centroids).labels
     for _ in range(iters):
         for j in range(M):
@@ -414,4 +378,4 @@ def select_kmeans(data, M: int, iters: int, seed: int) -> InducingSet:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return InducingSet(centroids, {"method": "kmeans", "seed": seed, "iters": iters})
+    return centroids

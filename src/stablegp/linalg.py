@@ -138,7 +138,7 @@ def conjugate_gradient(
     """Conjugate gradients for SPD systems from x0 = 0, relative-residual stopping rule.
 
     Stops as soon as ||b - A x||_2 <= tol * ||b||_2.  Reaching max_iter is
-    reported via converged=False; NaN appearing in the iterates is an error.
+    reported via converged=False; NaN or Inf in the iterates raises NumericalFailure.
     CG is linear in b, so it runs exactly on b / 2^e, with 2^e the power of
     two just above max|b|: ||b|| can then neither underflow nor overflow.
     """
@@ -164,7 +164,7 @@ def conjugate_gradient(
         r = r - alpha * Ap
         rs_new = float(r @ r)
         if not math.isfinite(rs_new):
-            raise FloatingPointError("NaN/Inf encountered in CG iterates")
+            raise NumericalFailure("NaN/Inf encountered in CG iterates")
         res = math.sqrt(rs_new)
         p = r + (rs_new / rs) * p
         rs = rs_new

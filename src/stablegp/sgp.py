@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .covertree import InducingSet, cluster_assign
+from .covertree import cluster_assign
 from .kernels import Kernel, gram, gram_gradients
 from .linalg import CholeskyOutcome, NumericalFailure, cho_solve, cholesky
 
@@ -228,9 +228,7 @@ def _jittered_cholesky(K: np.ndarray, tag: str) -> CholeskyOutcome:
     raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}, largest jitter tried {tried:.3g}")
 
 
-def sgpr_posterior(
-    data: Dataset, z: Union[InducingSet, np.ndarray], kernel: Kernel, sigma2: float, query
-) -> GaussianBelief:
+def sgpr_posterior(data: Dataset, z, kernel: Kernel, sigma2: float, query) -> GaussianBelief:
     """Collapsed variational posterior with free inducing points.
 
     This baseline substitutes the analytically optimal q(u), which requires
@@ -240,7 +238,7 @@ def sgpr_posterior(
     if not 0.0 < sigma2 < math.inf:
         raise ValueError("noise_sigma2 must be finite and positive")
     Q = _as_matrix(query)
-    Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
+    Z = _as_matrix(z)
     L = _jittered_cholesky(gram(kernel, Z), "kzz_sgpr").factor
     A = solve_triangular(L, gram(kernel, Z, data.X), lower=True, check_finite=False)
     # every eigenvalue of B is >= 1, so it factors without jitter
@@ -253,15 +251,13 @@ def sgpr_posterior(
     return GaussianBelief(mean, np.diag(cov).copy(), cov)
 
 
-def fit_clustered(
-    data: Dataset, z: Union[InducingSet, np.ndarray], kernel: Kernel, sigma2: float
-) -> ClusteredModel:
+def fit_clustered(data: Dataset, z, kernel: Kernel, sigma2: float) -> ClusteredModel:
     """Clustered-data model: u = per-cluster target means, lambda = sigma^2/N_cl.
 
     Inducing points whose cluster is empty are dropped with a warning; the
     cluster means are only defined over nonempty clusters.
     """
-    Z = z.points if isinstance(z, InducingSet) else _as_matrix(z)
+    Z = _as_matrix(z)
     if data.d != Z.shape[1]:
         raise ValueError(f"data has dimension {data.d}, inducing points have dimension {Z.shape[1]}")
     labels, counts = cluster_assign(data.X, Z)

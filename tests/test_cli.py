@@ -153,11 +153,11 @@ def _load_both_ways(monkeypatch, path, require_targets=True):
 
 def _bit_equal(a, b):
     if isinstance(a[0], type) or isinstance(b[0], type):
-        return a == b  # error tuples are 2 long, results 3
+        return a == b  # an error's type and message
     return all(
         (u is None and v is None) or (u.shape == v.shape and u.dtype == v.dtype and u.tobytes() == v.tobytes())
-        for u, v in zip(a[:2], b[:2])
-    ) and a[2] == b[2]
+        for u, v in zip(a, b, strict=True)
+    )
 
 
 def test_load_csv_fast_and_slow_paths_agree(tmp_path, monkeypatch):
@@ -330,6 +330,31 @@ def test_select_covertree_metrics_recompute(tmp_path, small_csv):
     assert obj["metrics"]["spatial_resolution"] == pytest.approx(spatial_resolution(data.X, pts))
     assert obj["metrics"]["separation"] >= 0.5
     assert obj["metrics"]["spatial_resolution"] <= 0.5
+
+
+@pytest.mark.parametrize(
+    "flags, provenance",
+    [
+        (["covertree", "--epsilon", "0.5"], {"method": "covertree", "level": 3, "epsilon": 0.5, "seed": 4}),
+        (["uniform", "--m", "5"], {"method": "uniform", "seed": 4, "indices": [19, 26, 33, 34, 37]}),
+        (["kmeans", "--m", "5", "--kmeans-iters", "3"], {"method": "kmeans", "seed": 4, "iters": 3}),
+    ],
+    ids=["covertree", "uniform", "kmeans"],
+)
+def test_select_writes_the_provenance_of_its_method(tmp_path, small_csv, flags, provenance):
+    out = tmp_path / "z.json"
+    assert main(["select", str(small_csv), "--method", *flags, "--seed", "4", "--out", str(out)]) == EXIT_OK
+    obj = _strict_json(out.read_text())
+    assert list(obj) == ["points", "provenance", "metrics"]
+    # the same keys in the same order, so z.json is the same file byte for byte
+    assert list(obj["provenance"].items()) == list(provenance.items())
+    X = load_csv(str(small_csv)).X
+    if "level" in provenance:
+        tree = build(X, 0.5, seed=4)
+        assert provenance["level"] == tree.L
+        assert obj["points"] == inducing_points(tree).tolist()
+    if "indices" in provenance:
+        assert obj["points"] == X[provenance["indices"]].tolist()
 
 
 @pytest.mark.parametrize(
@@ -554,14 +579,36 @@ def test_json_inputs_that_are_not_objects_are_usage_errors(tmp_path, small_csv, 
         assert capsys.readouterr().err.startswith(f"error: cannot load {what} from {listed}: ")
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
-def test_fit_rejects_non_finite_inducing_points(tmp_path, small_csv, kernel_json, capsys, bad):
+_NOT_AN_ARRAY = "points must form a nonempty (n, d) array with d >= 1"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"points": [[0.0, 0.0], [NaN, 1.0]], "provenance": {}}', "inducing points must be finite"),
+        ('{"points": [[0.0, 0.0], [Infinity, 1.0]], "provenance": {}}', "inducing points must be finite"),
+        ('{"points": [], "provenance": {}}', _NOT_AN_ARRAY),
+        ('{"points": [0.0, 1.0], "provenance": {}}', _NOT_AN_ARRAY),
+        ('{"points": [[]], "provenance": {}}', _NOT_AN_ARRAY),
+        ('{"provenance": {}}', "'points'"),
+    ],
+    ids=["NaN", "Infinity", "empty", "1-d", "no-columns", "missing"],
+)
+def test_fit_rejects_non_finite_inducing_points(tmp_path, small_csv, kernel_json, capsys, text, message):
     z_path = tmp_path / "z.json"
-    z_path.write_text(f'{{"points": [[0.0, 0.0], [{bad}, 1.0]], "provenance": {{}}}}')
+    z_path.write_text(text)
     out = tmp_path / "m.json"
     assert main(["fit", str(small_csv), str(z_path), str(kernel_json), "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
-    assert capsys.readouterr().err == f"error: cannot load inducing set from {z_path}: inducing points must be finite\n"
+    assert capsys.readouterr().err == f"error: cannot load inducing set from {z_path}: {message}\n"
+
+
+def test_fit_reads_only_the_points_of_an_inducing_set(tmp_path, small_csv, kernel_json):
+    z_path = tmp_path / "z.json"
+    z_path.write_text('{"points": [[0.0, 0.0], [1.0, 1.0]]}')
+    out = tmp_path / "m.json"
+    assert main(["fit", str(small_csv), str(z_path), str(kernel_json), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["z"] == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_predict_rejects_queries_of_another_dimension(tmp_path, small_csv, kernel_json, capsys):
@@ -617,15 +664,20 @@ def test_predict_refuses_negative_variances(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", str(model_path), str(query), "--out", str(out)]) == EXIT_NUMERICAL
     assert not out.exists()
+    # a stability report of the model, then the failure, as fit writes them
+    report, failure = capsys.readouterr().err.splitlines()
+    assert _strict_json(report)["stability_report"] == _strict_json(
+        json.dumps(stability_report(ClusteredModel.from_json(json.loads(model_path.read_text()))).to_json())
+    )
     found = re.fullmatch(
-        r"numerical failure: (\d+) of 220 posterior variances are negative, the most negative (\S+) at query (\d+)\n",
-        capsys.readouterr().err,
+        r"numerical failure: (\d+) of 220 posterior variances are negative, the most negative (\S+) at query (\d+)",
+        failure,
     )
     assert found is not None
     assert int(found[1]) >= 1 and float(found[2]) < 0.0 and int(found[3]) < 220
 
 
-def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
+def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["select", str(small_csv), "--method", "nope", "--out", "x"]) == EXIT_USAGE
 
@@ -644,8 +696,12 @@ def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv):
     model_path.write_text(json.dumps(broken))
     query = tmp_path / "q.csv"
     query.write_text("x1,x2\n0.5,0.5\n")
+    capsys.readouterr()
     code = main(["predict", str(model_path), str(query), "--out", str(tmp_path / "p.csv")])
     assert code == EXIT_NUMERICAL
+    report, failure = capsys.readouterr().err.splitlines()
+    assert _strict_json(report)["stability_report"]["cholesky_ok_double"] is False
+    assert failure.startswith("numerical failure: Cholesky factorization 'kzz_plus_lambda' failed: n=3")
 
 
 def test_fit_failure_with_nearly_coinciding_inducing_points_exits_numerical(tmp_path, kernel_json, capsys):

@@ -43,15 +43,15 @@ def test_identical_points_degenerate():
     tree = build(X, epsilon=0.5)
     assert tree.L == 1
     top = inducing_points(tree)
-    assert top.m == 1
-    assert np.allclose(top.points[0], [2.0, 3.0], atol=0.0)
+    assert top.shape == (1, 2)
+    assert np.allclose(top[0], [2.0, 3.0], atol=0.0)
     check_level_guarantees(tree, X)
 
 
 def test_epsilon_larger_than_spread_collapses_to_one_point():
     X = np.array([[0.0], [1.0]])
     tree = build(X, epsilon=10.0)
-    assert inducing_points(tree).m == 1
+    assert inducing_points(tree).shape == (1, 1)
     check_level_guarantees(tree, X)
 
 
@@ -271,11 +271,11 @@ def test_inducing_points_levels_and_range():
     rng = np.random.default_rng(8)
     X = rng.uniform(-1.0, 1.0, size=(100, 2))
     tree = build(X, epsilon=0.2)
-    assert inducing_points(tree, 0).m == 1
+    assert inducing_points(tree, 0).shape == (1, 2)
     top = inducing_points(tree)
-    assert np.array_equal(top.points, tree.levels[tree.L])
+    assert np.array_equal(top, tree.levels[tree.L])
     assert separation(top) >= tree.epsilon
-    top.points[0] = np.inf  # a copy: the tree is untouched
+    top[0] = np.inf  # a copy: the tree is untouched
     assert np.isfinite(tree.levels[tree.L]).all()
     with pytest.raises(ValueError):
         inducing_points(tree, tree.L + 1)
@@ -348,7 +348,7 @@ def nearest_cases():
         yield f"duplicated-z-{d}", grid, np.vstack([grid[:20], grid[5:15], grid[:3]])
         yield f"m1-{d}", X, X[7:8]
         tree = build(X, 0.5, seed=2)
-        yield f"covertree-{d}", X, inducing_points(tree).points
+        yield f"covertree-{d}", X, inducing_points(tree)
 
 
 def test_cluster_assign_and_resolution_match_the_brute_scan():
@@ -363,10 +363,10 @@ def test_cluster_assign_and_resolution_match_the_brute_scan():
 def test_select_kmeans_unchanged_by_the_nearest_scan(monkeypatch):
     for name, X, _ in nearest_cases():
         if name.startswith(("uniform", "grid-subset", "clustered")):
-            got = select_kmeans(X, 12, iters=15, seed=4).points
+            got = select_kmeans(X, 12, iters=15, seed=4)
             with monkeypatch.context() as m:
                 m.setattr(covertree, "_nearest", brute_nearest)
-                want = select_kmeans(X, 12, iters=15, seed=4).points
+                want = select_kmeans(X, 12, iters=15, seed=4)
             assert np.array_equal(got, want), name
 
 
@@ -375,7 +375,7 @@ def test_cluster_assign_does_not_scan_every_pair(monkeypatch):
     # a distance call with all M points; the rest cost O(1) distances each.
     rng = np.random.default_rng(32)
     X = rng.uniform(-5.0, 5.0, size=(20_000, 2))
-    Z = select_uniform(X, 140, seed=3).points
+    Z = X[select_uniform(X, 140, seed=3)]
     entries = []
     distances = covertree._distances
 
@@ -394,14 +394,14 @@ def test_cluster_assign_does_not_scan_every_pair(monkeypatch):
 def test_select_uniform():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(30, 2))
-    all_of_it = select_uniform(X, 30, seed=0)
-    assert np.array_equal(np.sort(all_of_it.points, axis=0), np.sort(X, axis=0))
-    one = select_uniform(X, 1, seed=3)
-    assert any(np.array_equal(one.points[0], row) for row in X)
+    assert np.array_equal(select_uniform(X, 30, seed=0), np.arange(30))
+    (one,) = select_uniform(X, 1, seed=3)
+    assert 0 <= one < 30
     a = select_uniform(X, 10, seed=5)
     b = select_uniform(X, 10, seed=5)
-    assert np.array_equal(a.points, b.points)
-    assert len({tuple(p) for p in a.points}) == 10
+    assert np.array_equal(a, b)
+    # sorted and distinct, so the rows X[a] are 10 distinct data points
+    assert a.shape == (10,) and (np.diff(a) > 0).all() and 0 <= a[0] and a[-1] < 30
     with pytest.raises(ValueError):
         select_uniform(X, 31, seed=0)
 
@@ -410,19 +410,20 @@ def test_select_kmeans():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(25, 2))
     everything = select_kmeans(X, 25, iters=5, seed=0)
-    assert np.allclose(np.sort(everything.points, axis=0), np.sort(X, axis=0), atol=1e-12)
+    assert everything.shape == (25, 2)
+    assert np.allclose(np.sort(everything, axis=0), np.sort(X, axis=0), atol=1e-12)
 
     blob_a = rng.normal(loc=-10.0, scale=0.1, size=(40, 1))
     blob_b = rng.normal(loc=10.0, scale=0.1, size=(60, 1))
     blobs = np.vstack([blob_a, blob_b])
     got = select_kmeans(blobs, 2, iters=20, seed=1)
-    centers = np.sort(got.points[:, 0])
+    centers = np.sort(got[:, 0])
     assert centers[0] == pytest.approx(float(blob_a.mean()), abs=1e-9)
     assert centers[1] == pytest.approx(float(blob_b.mean()), abs=1e-9)
 
     r1 = select_kmeans(X, 5, iters=10, seed=9)
     r2 = select_kmeans(X, 5, iters=10, seed=9)
-    assert np.array_equal(r1.points, r2.points)
+    assert np.array_equal(r1, r2)
     with pytest.raises(ValueError):
         select_kmeans(X, 26, iters=5, seed=0)
 

@@ -212,7 +212,7 @@ def test_cg_nan_in_iterates_raises():
         out[0] = np.nan
         return out
 
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(NumericalFailure):
         conjugate_gradient(bad, np.ones(4))
 
 

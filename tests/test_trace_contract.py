@@ -75,9 +75,9 @@ def test_build_counter_reads_a_real_tree():
     (call,) = [c for c in LAYER_CALLS if (c.module, c.function) == ("stablegp.covertree", "build")]
     X = np.random.default_rng(1).uniform(-2.0, 2.0, size=(300, 2))
     tree = build(X, 0.3)
-    nodes = sum(inducing_points(tree, ell).m for ell in range(tree.L + 1))
-    assert nodes > inducing_points(tree).m > 1
-    assert call.counter({"data": X, "epsilon": 0.3}, tree) == {"nodes": nodes, "m": inducing_points(tree).m}
+    nodes = sum(len(inducing_points(tree, ell)) for ell in range(tree.L + 1))
+    assert nodes > len(inducing_points(tree)) > 1
+    assert call.counter({"data": X, "epsilon": 0.3}, tree) == {"nodes": nodes, "m": len(inducing_points(tree))}
 
 
 # CG on a diagonal matrix takes one iteration per eigenvalue the right-hand
@@ -125,6 +125,6 @@ def test_load_csv_counter_reads_both_parse_paths(tmp_path, monkeypatch, quoted, 
     monkeypatch.setattr(cli, "_loadtxt_rows", spy)
     result = cli._load_csv_columns(str(path), require_targets=False)
     assert (kept[0] is None) == quoted
-    assert result[2] == has_y
+    assert (result[1] is not None) == has_y
     counts = call.counter({"path": str(path), "require_targets": False}, result)
     assert counts == {"rows_read": len(rows)}
