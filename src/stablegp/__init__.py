@@ -58,7 +58,6 @@ from .sgp import (
     fit_clustered,
     kl_to_prior,
     sample_targets,
-    sgpr_posterior,
     train,
     training_objective,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "conjugate_gradient", "spectrum", "wasserstein2_gaussians",
     "ClusteredModel", "Dataset", "GaussianBelief", "TrainConfig", "TrainResult",
     "clustered_posterior", "exact_posterior", "fit_clustered", "kl_to_prior",
-    "sample_targets", "sgpr_posterior", "train", "training_objective",
+    "sample_targets", "train", "training_objective",
 ]
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .sgp import (
     ClusteredModel,
     Dataset,
     TrainConfig,
+    _SAMPLE_MAX_POINTS,
     _plus_lambda,
     clustered_posterior,
     fit_clustered,
@@ -520,11 +521,12 @@ def cmd_predict(args) -> int:
     try:
         belief = clustered_posterior(model, Xq, full_cov=False)
         worst = int(np.argmin(belief.var))
-        if belief.var[worst] < 0.0:
-            count = int(np.count_nonzero(belief.var < 0.0))
+        # Lambda > 0 makes every true variance positive, so 0 is a rounding error too
+        if belief.var[worst] <= 0.0:
+            count = int(np.count_nonzero(belief.var <= 0.0))
             raise NumericalFailure(
-                f"{count} of {len(belief.var)} posterior variances are negative, "
-                f"the most negative {float(belief.var[worst])!r} at query {worst}"
+                f"{count} of {len(belief.var)} posterior variances are not positive, "
+                f"the smallest {float(belief.var[worst])!r} at query {worst}"
             )
     except NumericalFailure:
         _print_stability_report(model)
@@ -627,9 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("kernel")
     s.add_argument("--sigma2", type=_float_in(0.0), default=0.1)
     s.add_argument("--steps", type=_int_in(0), default=0)
-    s.add_argument("--batch", type=_int_in(1), default=1000)
-    s.add_argument("--lr", type=_float_in(0.0), default=0.01)
-    s.add_argument("--probes", type=_int_in(1), default=10)
+    s.add_argument("--batch", type=_int_in(1), default=TrainConfig.batch_size)
+    s.add_argument("--lr", type=_float_in(0.0), default=TrainConfig.step_size)
+    s.add_argument("--probes", type=_int_in(1), default=TrainConfig.probes)
     s.add_argument("--seed", type=_int_in(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_fit)
@@ -642,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep-resolution", help="accuracy/conditioning vs spatial resolution")
     s.add_argument("--d", type=int, nargs="+", choices=[1, 2, 4, 8], default=[1, 2])
-    s.add_argument("--n", type=_int_in(1, 5000), default=1000)  # sample_targets' limit on the n x n Gram
+    s.add_argument("--n", type=_int_in(1, _SAMPLE_MAX_POINTS), default=1000)
     s.add_argument("--epsilons", type=_float_in(0.0), nargs="+", default=[0.3, 0.6, 1.2, 2.4])
     s.add_argument("--seeds", type=_int_in(0), nargs="+", default=[0])
     s.add_argument("--sigma2", type=_float_in(0.0), default=0.1)

@@ -3,8 +3,9 @@
 Cholesky that returns a factor of the matrix itself or raises
 NumericalFailure, conjugate gradients with iteration accounting, exact
 extremal eigenvalues and condition numbers, and the closed-form 2-Wasserstein
-distance between Gaussians.  It holds no numerical policy (a caller that
-wants jitter shifts the matrix itself) and keeps no record: only inside a
+distance between Gaussians.  It holds no numerical policy: the package
+factors only K_zz + Lambda, whose conditioning separation bounds, so no
+jitter is tried anywhere.  It keeps no record: only inside a
 `with solve_log() as log:` block is each factorization and solve made here
 appended to log, which is how tests assert the no-bare-K_zz discipline of
 the sparse GP fitting path.
@@ -69,7 +70,7 @@ def _record(entry: dict) -> None:
 @dataclass(frozen=True)
 class CholeskyOutcome:
     factor: np.ndarray  # lower triangular
-    jitter_used: float
+    jitter_used: float  # always 0.0; kept only because perfbench/tracer.py reads it
     tag: str = ""  # the label given to cholesky(), carried into cho_solve's log entries
 
 

@@ -1,23 +1,22 @@
 """Gaussian process posteriors and the clustered-data approximation.
 
-Three posteriors live here: the exact GP, the collapsed variational
-baseline with free inducing points, and the clustered-data approximation
-whose inducing values are cluster target means with per-cluster noise
-sigma^2 / N_cl.  The clustered posterior coincides with the exact
-posterior on the dataset whose inputs are snapped to their nearest
-inducing point, and every linear solve it performs is against
+Two posteriors live here: the clustered-data approximation, whose inducing
+values are cluster target means with per-cluster noise sigma^2 / N_cl, and
+the exact GP, which is the clustered model with one point per cluster
+(z = X, u = y, Lambda = sigma^2 I).  The clustered posterior coincides with
+the exact posterior on the dataset whose inputs are snapped to their
+nearest inducing point, and every linear solve it performs is against
 K_zz + Lambda, never against K_zz alone.  Separation bounds the condition
 number of that matrix, so it is factored once per model or training step
 by a plain Cholesky with no jitter (shifted_gram), and every solve goes
-through that factor.  The exact GP is the clustered model with one point
-per cluster (z = X, u = y, Lambda = sigma^2 I) and takes the same path; a
-failed factorization or solve raises NumericalFailure.  Only the baseline,
-which must factor K_zz itself, adds jitter, in _jittered_cholesky alone.
-sample_targets draws synthetic targets from N(0, K_xx + sigma^2 I) through
-the factor the exact posterior given them uses, so a synthetic problem
-costs one Cholesky.  The training loop optimizes kernel hyperparameters
-and the noise by stochastic first-order steps with analytic gradients; the
-trace terms of those gradients can be estimated with Hutchinson probes.
+through that factor.  That is the only factorization made here, and no
+jitter is tried anywhere: a failed factorization or solve raises
+NumericalFailure.  sample_targets draws synthetic targets from
+N(0, K_xx + sigma^2 I) through the factor the exact posterior given them
+uses, so a synthetic problem costs one Cholesky.  The training loop
+optimizes kernel hyperparameters and the noise by stochastic first-order
+steps with analytic gradients; the trace terms of those gradients can be
+estimated with Hutchinson probes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .covertree import cluster_assign
 from .kernels import Kernel, gram, gram_gradients
@@ -41,7 +39,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "exact_posterior",
-    "sgpr_posterior",
     "fit_clustered",
     "clustered_posterior",
     "kl_to_prior",
@@ -57,6 +54,9 @@ _RESIDUAL_ACCEPT = 1e-9
 # Most query points a diagonal-only clustered posterior handles at once: its
 # working memory is O(M * _QUERY_BLOCK) whatever the number of queries.
 _QUERY_BLOCK = 2048
+
+# Most points sample_targets draws at, to bound its n x n Gram.
+_SAMPLE_MAX_POINTS = 5000
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -191,64 +191,16 @@ def sample_targets(
     be nearly singular, is never factored.  The posterior solves through the
     same factor L and is bit-identical to
     exact_posterior(Dataset(X, y), kernel, sigma2, query); without a query
-    it is None.  At most 5000 points, to bound the n x n Gram.
+    it is None.  At most _SAMPLE_MAX_POINTS points, to bound the n x n Gram.
     """
     X = _as_matrix(X)
-    if X.shape[0] > 5000:
-        raise ValueError("sample_targets is limited to 5000 points")
+    if X.shape[0] > _SAMPLE_MAX_POINTS:
+        raise ValueError(f"sample_targets is limited to {_SAMPLE_MAX_POINTS} points")
     A, out = shifted_gram(_exact_as_clustered(kernel, sigma2, X, np.zeros(X.shape[0])))
     y = out.factor @ np.random.default_rng(seed).standard_normal(X.shape[0])
     if query is None:
         return y, None
     return y, _posterior(_exact_as_clustered(kernel, sigma2, X, y), query, True, (A, out))
-
-
-def _jittered_cholesky(K: np.ndarray, tag: str) -> CholeskyOutcome:
-    """Factor of K + j I for the first shift j that factors, or NumericalFailure.
-
-    The shifts are 0, then 1e-6 s growing tenfold while j <= 1e-2 s, with s
-    the mean diagonal of K (1 if that is not positive), one cholesky call
-    each.  The error names the tag, n and the largest jitter tried.
-    """
-    n = K.shape[0]
-    try:
-        return cholesky(K, tag)
-    except NumericalFailure:
-        pass
-    tried = 0.0
-    mean_diag = float(np.mean(np.diag(K)))
-    scale = mean_diag if mean_diag > 0.0 else 1.0
-    shift, last = 1e-6 * scale, 1e-2 * scale
-    while 0.0 < shift <= last and math.isfinite(shift):
-        try:
-            return CholeskyOutcome(cholesky(K + shift * np.eye(n), tag).factor, shift, tag)
-        except NumericalFailure:
-            tried = shift
-        shift *= 10.0
-    raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}, largest jitter tried {tried:.3g}")
-
-
-def sgpr_posterior(data: Dataset, z, kernel: Kernel, sigma2: float, query) -> GaussianBelief:
-    """Collapsed variational posterior with free inducing points.
-
-    This baseline substitutes the analytically optimal q(u), which requires
-    solving against K_zz itself; that is exactly the step the clustered
-    approximation avoids, and the reason this path factors K_zz with jitter.
-    """
-    if not 0.0 < sigma2 < math.inf:
-        raise ValueError("noise_sigma2 must be finite and positive")
-    Q = _as_matrix(query)
-    Z = _as_matrix(z)
-    L = _jittered_cholesky(gram(kernel, Z), "kzz_sgpr").factor
-    A = solve_triangular(L, gram(kernel, Z, data.X), lower=True, check_finite=False)
-    # every eigenvalue of B is >= 1, so it factors without jitter
-    B = np.eye(Z.shape[0]) + (A @ A.T) / sigma2
-    out_b = cholesky(B, tag="sgpr_inner")
-    C = solve_triangular(L, gram(kernel, Z, Q), lower=True, check_finite=False)
-    mean = C.T @ cho_solve(out_b, A @ data.y) / sigma2
-    cov = gram(kernel, Q) - C.T @ C + C.T @ cho_solve(out_b, C)
-    cov = (cov + cov.T) / 2.0
-    return GaussianBelief(mean, np.diag(cov).copy(), cov)
 
 
 def fit_clustered(data: Dataset, z, kernel: Kernel, sigma2: float) -> ClusteredModel:

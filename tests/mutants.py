@@ -81,8 +81,13 @@ MUTANTS = {
     ),
     "negative-variance-below-minus-1": (
         "cli.py",
-        "if belief.var[worst] < 0.0:",
+        "if belief.var[worst] <= 0.0:",
         "if belief.var[worst] < -1.0:",
+    ),
+    "zero-variance-accepted": (
+        "cli.py",
+        "if belief.var[worst] <= 0.0:",
+        "if belief.var[worst] < 0.0:",
     ),
 }
 

@@ -641,11 +641,8 @@ def test_fit_rejects_mismatched_dimensions(tmp_path, small_csv, capsys, z_points
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_predict_refuses_negative_variances(tmp_path, capsys):
-    # at sigma2 = 1e-16 the posterior variance at an inducing point is at most
-    # sigma2 / N_j, about 1e-17, below the rounding of variance - colsum(K_zq * S),
-    # so some computed variances come out negative; they used to be written as
-    # a standard deviation of exactly 0
+def _tiny_noise_model(tmp_path, sigma2):
+    """A 220-point clustered model fitted at a noise below the rounding of its variances, and its z."""
     rng = np.random.default_rng(3)
     X = rng.uniform(-5.0, 5.0, size=(2000, 2))
     data_path = tmp_path / "d.csv"
@@ -654,12 +651,25 @@ def test_predict_refuses_negative_variances(tmp_path, capsys):
     kernel_path.write_text(json.dumps(Kernel(Family.MATERN32, 1.0, np.array([0.7, 0.7])).to_json()))
     z_path, model_path = tmp_path / "z.json", tmp_path / "m.json"
     assert main(["select", str(data_path), "--method", "covertree", "--epsilon", "0.5", "--out", str(z_path)]) == EXIT_OK
-    fit = ["fit", str(data_path), str(z_path), str(kernel_path), "--sigma2", "1e-16", "--out", str(model_path)]
+    fit = ["fit", str(data_path), str(z_path), str(kernel_path), "--sigma2", sigma2, "--out", str(model_path)]
     assert main(fit) == EXIT_OK
-    z = json.loads(model_path.read_text())["z"]
+    z = np.array(json.loads(model_path.read_text())["z"])
     assert len(z) == 220
+    return model_path, z
+
+
+def _write_query(path, points):
+    path.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+
+
+def test_predict_refuses_negative_variances(tmp_path, capsys):
+    # at sigma2 = 1e-16 the posterior variance at an inducing point is at most
+    # sigma2 / N_j, about 1e-17, below the rounding of variance - colsum(K_zq * S),
+    # so some computed variances come out negative; they used to be written as
+    # a standard deviation of exactly 0
+    model_path, z = _tiny_noise_model(tmp_path, "1e-16")
     query = tmp_path / "q.csv"
-    query.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in z))
+    _write_query(query, z)
     out = tmp_path / "pred.csv"
     capsys.readouterr()
     assert main(["predict", str(model_path), str(query), "--out", str(out)]) == EXIT_NUMERICAL
@@ -670,11 +680,30 @@ def test_predict_refuses_negative_variances(tmp_path, capsys):
         json.dumps(stability_report(ClusteredModel.from_json(json.loads(model_path.read_text()))).to_json())
     )
     found = re.fullmatch(
-        r"numerical failure: (\d+) of 220 posterior variances are negative, the most negative (\S+) at query (\d+)",
+        r"numerical failure: (\d+) of 220 posterior variances are not positive, the smallest (\S+) at query (\d+)",
         failure,
     )
     assert found is not None
     assert int(found[1]) >= 1 and float(found[2]) < 0.0 and int(found[3]) < 220
+
+
+def test_predict_refuses_zero_variances(tmp_path, capsys):
+    # Lambda > 0 makes every true variance positive, so a computed 0 is as
+    # wrong as a negative one; it used to be written as a standard deviation of 0
+    model_path, z = _tiny_noise_model(tmp_path, "3e-15")
+    var = clustered_posterior(ClusteredModel.from_json(json.loads(model_path.read_text())), z, full_cov=False).var
+    zero = z[var == 0.0]
+    assert len(zero) >= 1
+    query = tmp_path / "q.csv"
+    _write_query(query, zero)
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    assert main(["predict", str(model_path), str(query), "--out", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+    failure = capsys.readouterr().err.splitlines()[-1]
+    assert failure == (
+        f"numerical failure: {len(zero)} of {len(zero)} posterior variances are not positive, the smallest 0.0 at query 0"
+    )
 
 
 def test_exit_codes_for_usage_and_numerical_failure(tmp_path, small_csv, capsys):

@@ -23,7 +23,7 @@ from stablegp import (
     inducing_points,
     kl_to_prior,
     sample_targets,
-    sgpr_posterior,
+    stability_report,
     train,
     training_objective,
 )
@@ -59,21 +59,6 @@ def oracle_exact_posterior(kernel, sigma2, X, y, Q):
     alpha = np.linalg.solve(Kxx, y)
     mean = Kqx @ alpha
     cov = Kqq - Kqx @ np.linalg.solve(Kxx, Kqx.T)
-    return mean, cov
-
-
-def oracle_sgpr_posterior(kernel, sigma2, X, y, Z, Q):
-    Kzz = oracle_gram(kernel, Z, Z)
-    Kzx = oracle_gram(kernel, Z, X)
-    Kqz = oracle_gram(kernel, Q, Z)
-    Kqq = oracle_gram(kernel, Q, Q)
-    Sigma = Kzz + Kzx @ Kzx.T / sigma2
-    Sigma_inv = np.linalg.inv(Sigma)
-    m_u = Kzz @ Sigma_inv @ Kzx @ y / sigma2
-    S_u = Kzz @ Sigma_inv @ Kzz
-    Kzz_inv = np.linalg.inv(Kzz)
-    mean = Kqz @ Kzz_inv @ m_u
-    cov = Kqq - Kqz @ Kzz_inv @ Kqz.T + Kqz @ Kzz_inv @ S_u @ Kzz_inv @ Kqz.T
     return mean, cov
 
 
@@ -127,8 +112,6 @@ def test_exact_posterior_matches_dense_oracle():
      ("noise_sigma2", math.inf)],
 )
 def test_exact_gp_rejects_non_finite_input(field, bad):
-    # without the check, sgpr_posterior returned a NaN mean or, for an
-    # infinite noise, the prior
     kernel, sigma2, X, y, _ = random_problem(2, 6, 2)
     fields = {"X": X, "y": y, "noise_sigma2": sigma2}
     if field == "noise_sigma2":
@@ -138,8 +121,6 @@ def test_exact_gp_rejects_non_finite_input(field, bad):
         fields[field].flat[3] = bad
     with pytest.raises(ValueError, match="finite"):
         exact_posterior(Dataset(fields["X"], fields["y"]), kernel, fields["noise_sigma2"], X[:2])
-    with pytest.raises(ValueError, match="finite"):
-        sgpr_posterior(Dataset(fields["X"], fields["y"]), X[:3], kernel, fields["noise_sigma2"], X[:2])
 
 
 def test_singular_exact_gp_raises_instead_of_jittering():
@@ -161,15 +142,9 @@ def test_exact_posterior_solves_are_residual_gated(monkeypatch):
         sample_targets(kernel, sigma2, X, 0, Q)
 
 
-def test_only_the_sgpr_baseline_factors_with_jitter(monkeypatch):
-    calls = []
-    factor = sgp._jittered_cholesky
-
-    def spy(K, tag):
-        calls.append(tag)
-        return factor(K, tag)
-
-    monkeypatch.setattr(sgp, "_jittered_cholesky", spy)
+def test_nothing_jitters():
+    # every posterior, KL, objective, training step and stability report
+    # factors K_zz + Lambda once, with no jitter, and nothing else is factored
     kernel, sigma2, X, y, rng = random_problem(24, 120, 2)
     data = Dataset(X, y)
     Q = rng.uniform(-3.0, 3.0, size=(5, 2))
@@ -183,80 +158,10 @@ def test_only_the_sgpr_baseline_factors_with_jitter(monkeypatch):
         kl_to_prior(model, probes=16, seed=0)
         training_objective(model, data, data.n)
         train(model, data, TrainConfig(steps=2, batch_size=64, probes=4, seed=0))
-    assert len([e for e in log if e["kind"] == "cholesky"]) > 8
-    assert calls == []
-    sgpr_posterior(data, model.z, kernel, sigma2, Q)
-    assert calls == ["kzz_sgpr"]
-
-
-def test_jittered_cholesky_escalates_and_reconstructs():
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = sgp._jittered_cholesky(A, "pair")
-    assert 0.0 < out.jitter_used <= 1e-2
-    assert out.tag == "pair"
-    rebuilt = out.factor @ out.factor.T
-    target = A + out.jitter_used * np.eye(2)
-    assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(A)
-    out = sgp._jittered_cholesky(np.eye(3), "identity")
-    assert out.jitter_used == 0.0 and np.array_equal(out.factor, np.eye(3))
-    with solve_log() as log:
-        with pytest.raises(NumericalFailure) as err:
-            sgp._jittered_cholesky(-np.eye(4), "negated")
-    assert str(err.value) == "Cholesky factorization 'negated' failed: n=4, largest jitter tried 0.01"
-    # one logged factorization per shift tried: 0, then 1e-6 to 1e-2
-    assert log == [{"kind": "cholesky", "tag": "negated", "n": 4}] * 6
-
-
-def test_jittered_cholesky_schedule(monkeypatch):
-    # Shifts tried: 0, then 1e-6 s growing tenfold up to 1e-2 s, where s is
-    # the mean diagonal, or 1 when that is not positive.
-    tried = []
-
-    def failing(M, **kwargs):
-        tried.append(M[0, 0] - A[0, 0])
-        raise np.linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(linalg.sla, "cholesky", failing)
-    for diag, scale in ((4.0, 4.0), (-3.0, 1.0), (0.0, 1.0)):
-        A = np.diag([diag, diag, diag])
-        tried.clear()
-        with pytest.raises(NumericalFailure):
-            sgp._jittered_cholesky(A, "")
-        want = [0.0] + [scale * 1e-6 * 10.0**k for k in range(5)]
-        # M[0, 0] - A[0, 0] rounds the shift at the scale of the diagonal
-        assert tried == pytest.approx(want, rel=1e-9, abs=0.0)
-
-
-# ---------------------------------------------------------------------------
-# SGPR baseline
-
-def test_sgpr_all_data_inducing_recovers_exact():
-    kernel, sigma2, X, y, rng = random_problem(2, 30, 2)
-    Q = rng.uniform(-3.0, 3.0, size=(6, 2))
-    data = Dataset(X, y)
-    full = exact_posterior(data, kernel, sigma2, Q)
-    sparse = sgpr_posterior(data, X, kernel, sigma2, Q)
-    assert np.max(np.abs(full.mean - sparse.mean)) <= 1e-6
-    assert np.max(np.abs(full.cov - sparse.cov)) <= 1e-6
-
-
-def test_sgpr_single_inducing_point_psd_ordering():
-    kernel, sigma2, X, y, rng = random_problem(3, 40, 2)
-    Q = rng.uniform(-3.0, 3.0, size=(8, 2))
-    belief = sgpr_posterior(Dataset(X, y), X[:1], kernel, sigma2, Q)
-    prior = gram(kernel, Q)
-    gap_eigs = np.linalg.eigvalsh(prior - belief.cov)
-    assert gap_eigs[0] >= -1e-8
-
-
-def test_sgpr_matches_textbook_oracle():
-    kernel, sigma2, X, y, rng = random_problem(4, 50, 2)
-    Z = X[rng.permutation(50)[:10]]
-    Q = rng.uniform(-3.0, 3.0, size=(7, 2))
-    belief = sgpr_posterior(Dataset(X, y), Z, kernel, sigma2, Q)
-    mean, cov = oracle_sgpr_posterior(kernel, sigma2, X, y, Z, Q)
-    assert np.max(np.abs(belief.mean - mean)) <= 1e-8
-    assert np.max(np.abs(belief.cov - cov)) <= 1e-8
+        stability_report(model)
+    factors = [e for e in log if e["kind"] == "cholesky"]
+    assert len(factors) == 10
+    assert {e["tag"] for e in factors} == {"kzz_plus_lambda"}
 
 
 # ---------------------------------------------------------------------------
