@@ -22,7 +22,7 @@ from .linalg import (
     CG_DEFAULT_TOL,
     NumericalFailure,
     SpectrumSummary,
-    cholesky,
+    _factor_in_place,
     cholesky_stability_predicate,
     spectrum,
 )
@@ -231,7 +231,7 @@ def stability_report(model) -> StabilityReport:
     cg_bound = 0.0 if u_norm == 0.0 else math.inf
     if u_norm > 0.0 and math.isfinite(observed.cond):
         try:
-            L = cholesky(A, tag="kzz_plus_lambda").factor
+            L = _factor_in_place(A, "kzz_plus_lambda").factor  # nothing reads A after its spectrum
         except NumericalFailure:
             pass  # the bound stays infinite
         else:

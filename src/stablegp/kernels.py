@@ -26,8 +26,9 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
-# row-chunk size for pairwise-distance assembly, keeps temporaries ~tens of MB
-_CHUNK = 1 << 22
+# Most entries in one row tile of a Gram or distance matrix (256 KiB): a tile
+# and its difference buffer stay in cache while the tile is assembled.
+_CHUNK = 1 << 15
 
 
 class Family(str, Enum):
@@ -161,43 +162,46 @@ def _check_points(X: np.ndarray, dim: int, name: str) -> np.ndarray:
     return X
 
 
-def _scaled_dists(A: np.ndarray, B: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """Lengthscale-weighted pairwise distances, assembled in row chunks.
+def _scaled_dists(A: np.ndarray, B: np.ndarray, k: Kernel, profiled: bool = False) -> np.ndarray:
+    """Lengthscale-weighted pairwise distances, or with profiled=True the Gram of k, in row tiles.
 
-    Each chunk's squared distances are accumulated straight into the output,
-    coordinate 0 first, through one difference buffer per chunk.
+    Each tile holds at most _CHUNK entries.  Its squared distances are
+    accumulated in the tile itself, coordinate 0 first, through one
+    tile-sized difference buffer; with profiled=True the tile is then turned
+    into variance * kappa(u) while it is still in cache.
     """
     n, m = A.shape[0], B.shape[0]
     out = np.empty((n, m), dtype=float)
     rows = max(1, _CHUNK // max(1, m))
+    diff = np.empty((min(n, rows), m)) if A.shape[1] > 1 else None
     for start in range(0, n, rows):
-        stop = min(n, start + rows)
-        acc = out[start:stop]
-        diff = acc  # coordinate 0 is squared in the output itself
+        tile = out[start : start + rows]
         for l in range(A.shape[1]):
-            if l == 1:
-                diff = np.empty_like(acc)
-            np.subtract(A[start:stop, l, None], B[None, :, l], out=diff)
-            diff /= ls[l]
-            diff *= diff
+            d = tile if l == 0 else diff[: len(tile)]  # coordinate 0 is squared in the tile itself
+            np.subtract(A[start : start + rows, l, None], B[None, :, l], out=d)
+            d /= k.lengthscales[l]
+            d *= d
             if l:
-                acc += diff
-        np.sqrt(acc, out=acc)
+                tile += d
+        np.sqrt(tile, out=tile)
+        if profiled:
+            _profile(k.family, tile)
+            tile *= k.variance
     return out
 
 
 def gram(k: Kernel, A, B=None) -> np.ndarray:
     """Kernel matrix between point sets A (n x d) and B (m x d).
 
-    With B omitted (or identical to A) the result is exactly symmetric with
-    no mirroring: each entry depends on its pair only through the squares of
-    the coordinate differences, and fl(a - b) = -fl(b - a).
+    It is built, profiled and scaled in cache-sized row tiles through one
+    tile-sized difference buffer, so the only n x m array it makes is the
+    result.  With B omitted (or identical to A) the result is exactly
+    symmetric with no mirroring: each entry depends on its pair only through
+    the squares of the coordinate differences, and fl(a - b) = -fl(b - a).
     """
     A = _check_points(A, k.dim, "A")
     B = A if B is None else _check_points(B, k.dim, "B")
-    K = _profile(k.family, _scaled_dists(A, B, k.lengthscales))
-    K *= k.variance
-    return K
+    return _scaled_dists(A, B, k, profiled=True)
 
 
 def gram_gradients(k: Kernel, A, B=None):
@@ -210,7 +214,7 @@ def gram_gradients(k: Kernel, A, B=None):
     """
     A = _check_points(A, k.dim, "A")
     B = A if B is None else _check_points(B, k.dim, "B")
-    U = _scaled_dists(A, B, k.lengthscales)
+    U = _scaled_dists(A, B, k)
     G = _profile_radial_factor(k.family, U)  # before _profile overwrites U
     G *= k.variance
     K = _profile(k.family, U)

@@ -92,34 +92,68 @@ class SpectrumSummary:
 # Largest |A - A.T| entry accepted as symmetric, relative to max(1, max|A|).
 _SYMMETRY_RTOL = 1e-8
 
+# Most entries in one row block of _check_symmetric's comparison (256 KiB).
+_BLOCK = 1 << 15
+
 
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
+    """A as a float array, or ValueError unless it is square and symmetric to _SYMMETRY_RTOL.
+
+    A - A.T is formed r rows at a time, with r n at most _BLOCK, so no n x n
+    temporary is made; the verdict is that of one check on all of A - A.T.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if A.size == 0:
+    n = A.shape[0]
+    if n == 0:
         return A  # the empty matrix is symmetric, and has no maximum to scale by
     # max|A| and max|A - A.T| without the abs temporaries: fl(a - b) = -fl(b - a),
-    # so the largest entry of A - A.T is its largest magnitude.  A NaN entry
-    # makes both maxima NaN, so such a matrix passes this check.
+    # so the largest entry of A - A.T is the largest magnitude in its upper
+    # triangle, diagonal included.  D is rows [i, i + r) of A - A.T from
+    # column i on, which hold those rows of that triangle.  A NaN entry makes
+    # the maximum NaN, so such a matrix passes this check.
     scale = max(1.0, float(A.max()), float(-A.min()))
-    if (A - A.T).max() > _SYMMETRY_RTOL * scale:
+    worst = 0.0
+    rows = max(1, _BLOCK // n)
+    for i in range(0, n, rows):
+        D = np.subtract(A[i : i + rows, i:], A[i:, i : i + rows].T)
+        hi, lo = float(D.max()), float(D.min())
+        if math.isnan(hi):
+            return A
+        worst = max(worst, hi, -lo)
+    if worst > _SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric")
     return A
 
 
-def cholesky(A: np.ndarray, tag: str = "") -> CholeskyOutcome:
-    """Lower Cholesky factor of A itself, or NumericalFailure naming the tag and n.
+def _factor_in_place(A: np.ndarray, tag: str) -> CholeskyOutcome:
+    """Lower Cholesky factor of A, written over A, or NumericalFailure naming the tag and n.
 
-    No jitter is ever added, so jitter_used is always 0.
+    LAPACK factors the lower triangle of A.T, which for a C-ordered A is the
+    Fortran-ordered view of A's own memory: there is no transposing copy and
+    the factor returned lies in A.  A.T's lower triangle is A's upper one,
+    so for an exactly symmetric A, as every matrix the package factors is,
+    the factor is bit for bit cholesky(A)'s.  After a failure A holds a
+    partial factor.
     """
     A = _check_symmetric(A)
     n = A.shape[0]
     _record({"kind": "cholesky", "tag": tag, "n": n})
     try:
-        return CholeskyOutcome(sla.cholesky(A, lower=True, check_finite=False), 0.0, tag)
+        return CholeskyOutcome(sla.cholesky(A.T, lower=True, overwrite_a=True, check_finite=False), 0.0, tag)
     except np.linalg.LinAlgError:
         raise NumericalFailure(f"Cholesky factorization {tag!r} failed: n={n}") from None
+
+
+def cholesky(A: np.ndarray, tag: str = "") -> CholeskyOutcome:
+    """Lower Cholesky factor of A itself, or NumericalFailure naming the tag and n.
+
+    A is copied, never written to, and its lower triangle is the one
+    factored: the copy is Fortran-ordered, so _factor_in_place gets its
+    C-ordered transpose.  No jitter is ever added, so jitter_used is always 0.
+    """
+    return _factor_in_place(np.array(A, dtype=float, order="F").T, tag)
 
 
 def cho_solve(outcome: CholeskyOutcome, B: np.ndarray) -> np.ndarray:

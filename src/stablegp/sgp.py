@@ -7,11 +7,12 @@ the exact GP, which is the clustered model with one point per cluster
 the exact posterior on the dataset whose inputs are snapped to their
 nearest inducing point, and every linear solve it performs is against
 K_zz + Lambda, never against K_zz alone.  Separation bounds the condition
-number of that matrix, so it is factored once per model or training step
-by a plain Cholesky with no jitter (shifted_gram), and every solve goes
-through that factor.  That is the only factorization made here, and no
-jitter is tried anywhere: a failed factorization or solve raises
-NumericalFailure.  sample_targets draws synthetic targets from
+number of that matrix, so it is factored once per model or training step,
+in place, by a plain Cholesky with no jitter (shifted_gram), and every solve
+goes through that factor; the residual gate rebuilds the matrix tile by
+tile, so it is never held beside its factor.  That is the only factorization
+made here, and no jitter is tried anywhere: a failed factorization or solve
+raises NumericalFailure.  sample_targets draws synthetic targets from
 N(0, K_xx + sigma^2 I) through the factor the exact posterior given them
 uses, so a synthetic problem costs one Cholesky.  The training loop
 optimizes kernel hyperparameters and the noise by stochastic first-order
@@ -30,7 +31,7 @@ import numpy as np
 
 from .covertree import cluster_assign
 from .kernels import Kernel, gram, gram_gradients
-from .linalg import CholeskyOutcome, NumericalFailure, cho_solve, cholesky
+from .linalg import CholeskyOutcome, NumericalFailure, _factor_in_place, cho_solve
 
 __all__ = [
     "Dataset",
@@ -50,6 +51,14 @@ __all__ = [
 # Largest true relative residual accepted from a solve against K_zz + Lambda,
 # well below the 1e-8 accuracy the posterior promises.
 _RESIDUAL_ACCEPT = 1e-9
+
+# Most entries in one tile of the residual gate's rebuilt K_zz + Lambda, and
+# in one tile of its residual (2 MiB each).  Smaller tiles split the gate of a
+# training or prediction solve, a few hundred rows against a thousand or more
+# right-hand sides, into several Gram and matmul calls: at 256 KiB the gated
+# solve at M = 139 with 1,021 columns took 10.0 ms against 8.0 ms (2-core
+# x86_64 VM, one BLAS thread).
+_GATE_TILE = 1 << 18
 
 # Most query points a diagonal-only clustered posterior handles at once: its
 # working memory is O(M * _QUERY_BLOCK) whatever the number of queries.
@@ -191,16 +200,17 @@ def sample_targets(
     be nearly singular, is never factored.  The posterior solves through the
     same factor L and is bit-identical to
     exact_posterior(Dataset(X, y), kernel, sigma2, query); without a query
-    it is None.  At most _SAMPLE_MAX_POINTS points, to bound the n x n Gram.
+    it is None.  At most _SAMPLE_MAX_POINTS points, to bound the one n x n
+    array it holds, the factor.
     """
     X = _as_matrix(X)
     if X.shape[0] > _SAMPLE_MAX_POINTS:
         raise ValueError(f"sample_targets is limited to {_SAMPLE_MAX_POINTS} points")
-    A, out = shifted_gram(_exact_as_clustered(kernel, sigma2, X, np.zeros(X.shape[0])))
+    out = shifted_gram(_exact_as_clustered(kernel, sigma2, X, np.zeros(X.shape[0])))
     y = out.factor @ np.random.default_rng(seed).standard_normal(X.shape[0])
     if query is None:
         return y, None
-    return y, _posterior(_exact_as_clustered(kernel, sigma2, X, y), query, True, (A, out))
+    return y, _posterior(_exact_as_clustered(kernel, sigma2, X, y), query, True, out)
 
 
 def fit_clustered(data: Dataset, z, kernel: Kernel, sigma2: float) -> ClusteredModel:
@@ -226,18 +236,17 @@ def fit_clustered(data: Dataset, z, kernel: Kernel, sigma2: float) -> ClusteredM
     return ClusteredModel(kernel, sigma2, Z, u, lam, counts)
 
 
-def shifted_gram(
-    model: ClusteredModel, K: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, CholeskyOutcome]:
-    """K_zz + Lambda and its lower Cholesky factor, taken with no jitter.
+def shifted_gram(model: ClusteredModel, K: Optional[np.ndarray] = None) -> CholeskyOutcome:
+    """The lower Cholesky factor of K_zz + Lambda, taken with no jitter.
 
     Lambda bounds the spectrum from below and separation bounds it from
     above, so a plain double-precision factorization is safe; a matrix that
     still fails to factor raises NumericalFailure instead of being jittered.
-    K, when given, is K_zz already evaluated by the caller; it is not modified.
+    K_zz + Lambda is factored where it is formed, so the factor is the only
+    M x M array this leaves; _solve rebuilds the matrix from the model.  K,
+    when given, is K_zz already evaluated by the caller; it is not modified.
     """
-    A = _plus_lambda(model, K)
-    return A, cholesky(A, tag="kzz_plus_lambda")
+    return _factor_in_place(_plus_lambda(model, K), "kzz_plus_lambda")
 
 
 def _plus_lambda(model: ClusteredModel, K: Optional[np.ndarray] = None) -> np.ndarray:
@@ -247,21 +256,32 @@ def _plus_lambda(model: ClusteredModel, K: Optional[np.ndarray] = None) -> np.nd
     return A
 
 
-def _solve(A: np.ndarray, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
+def _solve(model: ClusteredModel, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
     """Solve (K_zz + Lambda) X = B through its factor, gated on the true relative residual.
 
     Each column is solved and gated divided by the power of two just above its
     largest |entry| (exact), so the gate's norms cannot under- or overflow.
+    The gate rebuilds A = K_zz + Lambda from the model a tile of rows at a
+    time, each tile and its rows of B - A X at most _GATE_TILE entries, so it
+    holds no M x M array and no residual the size of B.
     """
     # max|B| per column without an abs temporary; frexp gives e = 0 for a zero column
     e = np.frexp(np.maximum(B.max(axis=0, initial=0.0), -B.min(axis=0, initial=0.0)))[1]
     B = np.ldexp(B, -e)
     X = cho_solve(out, B)
-    R = A @ X
-    R -= B
-    # column norms as sqrt of sum-of-squares, with no squared temporary the size of B
+    m = model.m
+    rows = max(1, _GATE_TILE // max(m, math.prod(B.shape[1:])))
+    # per-column sums of squares, with no squared temporary the size of B
+    sq = np.zeros(B.shape[1:])
+    for start in range(0, m, rows):
+        tile = slice(start, start + rows)
+        R = gram(model.kernel, model.z[tile], model.z)
+        R.reshape(-1)[start :: m + 1] += model.lam[tile]  # A's diagonal entries in these rows
+        R = R @ X
+        R -= B[tile]
+        sq += np.einsum("i...,i...->...", R, R)
     scale = np.sqrt(np.einsum("i...,i...->...", B, B))
-    rel = np.sqrt(np.einsum("i...,i...->...", R, R)) / np.where(scale > 0.0, scale, 1.0)
+    rel = np.sqrt(sq) / np.where(scale > 0.0, scale, 1.0)
     if not np.all(rel <= _RESIDUAL_ACCEPT):
         raise NumericalFailure(f"solve against K_zz + Lambda: worst relative residual {np.max(rel):.3e}")
     return np.ldexp(X, e, out=X)
@@ -280,25 +300,24 @@ def clustered_posterior(model: ClusteredModel, query, full_cov: bool = True) -> 
     return _posterior(model, query, full_cov, shifted_gram(model))
 
 
-def _posterior(model: ClusteredModel, query, full_cov: bool, shifted) -> GaussianBelief:
-    """clustered_posterior(model, query, full_cov) through shifted = shifted_gram(model)."""
+def _posterior(model: ClusteredModel, query, full_cov: bool, out: CholeskyOutcome) -> GaussianBelief:
+    """clustered_posterior(model, query, full_cov) through out = shifted_gram(model)."""
     Q = _as_matrix(query)
-    A, out = shifted
     if full_cov:
         K_zq = gram(model.kernel, model.z, Q)
-        sol = _solve(A, out, np.column_stack([model.u, K_zq]))
+        sol = _solve(model, out, np.column_stack([model.u, K_zq]))
         v, S = sol[:, 0], sol[:, 1:]
         mean = K_zq.T @ v
         cov = gram(model.kernel, Q) - K_zq.T @ S
         cov = (cov + cov.T) / 2.0
         return GaussianBelief(mean, np.diag(cov).copy(), cov)
-    v = _solve(A, out, model.u)
+    v = _solve(model, out, model.u)
     mean = np.empty(Q.shape[0])
     var = np.empty(Q.shape[0])
     for start in range(0, Q.shape[0], _QUERY_BLOCK):
         block = slice(start, start + _QUERY_BLOCK)
         K_zq = gram(model.kernel, model.z, Q[block])
-        S = _solve(A, out, K_zq)
+        S = _solve(model, out, K_zq)
         mean[block] = K_zq.T @ v
         # k(x, x) = variance for every family, since each profile is 1 at 0
         var[block] = model.kernel.variance - np.einsum("mq,mq->q", K_zq, S)
@@ -336,8 +355,8 @@ def kl_to_prior(model: ClusteredModel, probes: Optional[int] = None, seed=0) -> 
     """
     V, w = _trace_probes(model.m, probes, seed)
     K = gram(model.kernel, model.z)
-    A, out = shifted_gram(model, K)
-    sol = _solve(A, out, np.column_stack([model.u, K @ V]))
+    out = shifted_gram(model, K)
+    sol = _solve(model, out, np.column_stack([model.u, K @ V]))
     v = sol[:, 0]
     return _kl(out, model.lam, v, K @ v, V, sol[:, 1:], w)
 
@@ -372,11 +391,11 @@ def _objective_and_grads(
     c = n_total / b / (2.0 * sigma2)  # weight of the batch's squared error
 
     K, dK_dlogls = gram_gradients(k, model.z)
-    A, out = shifted_gram(model, K)
+    out = shifted_gram(model, K)
     kb, dkb_dlogls = gram_gradients(k, model.z, Xb)
     V, w = _trace_probes(model.m, probes, seed)
     p = V.shape[1]
-    sol = _solve(A, out, np.column_stack([model.u, kb, V, K @ V]))
+    sol = _solve(model, out, np.column_stack([model.u, kb, V, K @ V]))
     v, W, T, Wm = sol[:, 0], sol[:, 1 : 1 + b], sol[:, 1 + b : 1 + b + p], sol[:, 1 + b + p :]
 
     Kv = K @ v
@@ -384,7 +403,7 @@ def _objective_and_grads(
     sq = float(np.sum(resid**2 + k.variance - np.einsum("mb,mb->b", kb, W)))
     value = _kl(out, model.lam, v, Kv, V, Wm, w) + 0.5 * n_total * math.log(2.0 * math.pi * sigma2) + c * sq
 
-    t2 = _solve(A, out, Kv)
+    t2 = _solve(model, out, Kv)
     P = 0.5 * w * (T @ Wm.T) + np.outer(0.5 * v - t2 + 2.0 * c * (W @ resid), v) + c * (W @ W.T)
     Pb = -2.0 * c * (np.outer(v, resid) + W)
     # np.vdot of two real matrices is the sum of their elementwise product

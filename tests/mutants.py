@@ -64,6 +64,16 @@ MUTANTS = {
         "_RESIDUAL_ACCEPT = 1e-9",
         "_RESIDUAL_ACCEPT = 1e-1",
     ),
+    "gate-tile-without-lambda": (
+        "sgp.py",
+        "R.reshape(-1)[start :: m + 1] += model.lam[tile]",
+        "R.reshape(-1)[start :: m + 1] += 0.0",
+    ),
+    "gate-drops-last-partial-tile": (
+        "sgp.py",
+        "for start in range(0, m, rows):",
+        "for start in range(0, m - m % rows, rows):",
+    ),
     "cholesky-flags-at-n-11": (
         "diagnostics.py",
         "n_pred = max(model.m, 11)",

@@ -41,7 +41,7 @@ from stablegp.cli import (
     load_csv,
     main,
 )
-from stablegp.sgp import shifted_gram
+from stablegp.sgp import _plus_lambda
 from support import read_table, write_csv_dataset
 
 
@@ -805,7 +805,7 @@ def test_sweep_resolution_table(tmp_path, monkeypatch):
         belief = clustered_posterior(model, grid)
         exact = exact_by_seed[row["seed"]]
         assert row["m"] == model.m
-        assert row["cond"] == spectrum(shifted_gram(model)[0]).cond
+        assert row["cond"] == spectrum(_plus_lambda(model)).cond
         assert row["wasserstein2"] == wasserstein2_gaussians(belief.mean, belief.cov, exact.mean, exact.cov)
 
 

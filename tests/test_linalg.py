@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from stablegp import (
+    Family,
+    Kernel,
     NumericalFailure,
     cholesky,
     cholesky_stability_predicate,
     conjugate_gradient,
+    gram,
     kms_matrix,
     spectrum,
     wasserstein2_gaussians,
@@ -114,7 +119,7 @@ def _reference_symmetric(A, rtol=1e-8):
     return not np.max(np.abs(A - A.T)) > rtol * scale
 
 
-def test_cholesky_rejects_nonsymmetric():
+def test_cholesky_rejects_nonsymmetric(monkeypatch):
     A = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         cholesky(A)
@@ -138,9 +143,36 @@ def test_cholesky_rejects_nonsymmetric():
             for i, j in where:
                 A[i, j] = bad
             cases.append(A)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        for A in cases:
-            assert _passes_symmetry_check(A) is _reference_symmetric(A)
+    # one gap just above the limit at every position of a 7 x 7 matrix
+    S = np.add.outer(np.arange(7.0), np.arange(7.0)) / 10.0
+    for i in range(7):
+        for j in range(7):
+            if i != j:
+                A = S.copy()
+                A[i, j] += 2e-8
+                cases.append(A)
+    # _check_symmetric's row blocks, one row each, rows of 2 with a partial
+    # last block on 3 x 3, and one block: every split gives the same verdict
+    for block in (linalg._BLOCK, 1, 6, 20):
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for A in cases:
+                assert _passes_symmetry_check(A) is _reference_symmetric(A)
+        assert _passes_symmetry_check(np.full((7, 7), np.nan))  # NaN passes, as documented
+
+
+def test_check_symmetric_makes_no_n_by_n_temporary():
+    n = 2000
+    A = np.add.outer(np.arange(float(n)), np.arange(float(n)))
+    _check_symmetric(A[:4, :4])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        _check_symmetric(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < A.nbytes / 8
 
 
 def test_cholesky_reconstruction_on_random_spd():
@@ -151,6 +183,28 @@ def test_cholesky_reconstruction_on_random_spd():
         assert out.jitter_used == 0.0
         rebuilt = out.factor @ out.factor.T
         assert np.linalg.norm(rebuilt - A) <= 1e-8 * np.linalg.norm(A)
+        # A is not exactly symmetric here: its lower triangle is the one
+        # factored, and neither memory order of A is written to
+        assert np.array_equal(out.factor, sla.cholesky(A, lower=True, check_finite=False))
+        for given in (A, np.asfortranarray(A)):
+            before = given.copy()
+            assert np.array_equal(cholesky(given).factor, out.factor)
+            assert np.array_equal(given, before)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_factor_in_place_is_the_copying_factor_bit_for_bit(family):
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        for n in (0, 1, 7, 200):
+            A = gram(Kernel(family, 1.3, rng.uniform(0.4, 1.5, size=d)), rng.uniform(-5.0, 5.0, size=(n, d)))
+            A[np.diag_indices_from(A)] += 0.1
+            expected = sla.cholesky(A, lower=True, check_finite=False) if n else np.zeros((0, 0))
+            copied = cholesky(A).factor
+            own = A.copy()
+            factor = linalg._factor_in_place(own, "kzz_plus_lambda").factor
+            assert np.array_equal(copied, expected) and np.array_equal(factor, expected)
+            assert n == 0 or np.shares_memory(factor, own)
 
 
 def test_cg_identity_single_iteration():

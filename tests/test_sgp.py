@@ -327,17 +327,17 @@ def test_solve_gate_holds_no_squared_temporary_the_size_of_the_right_hand_sides(
     model = ClusteredModel(
         kernel, 0.1, rng.uniform(-5.0, 5.0, size=(400, 2)), np.zeros(400), np.full(400, 0.1), np.ones(400, dtype=int)
     )
-    A, out = sgp.shifted_gram(model)
+    out = sgp.shifted_gram(model)
     B = rng.normal(size=(400, 2048))
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        X = sgp._solve(A, out, B)
+        X = sgp._solve(model, out, B)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - before < 3.5 * B.nbytes
-    assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
+    assert np.max(np.abs(sgp._plus_lambda(model) @ X - B)) <= 1e-8 * np.max(np.abs(B))
 
 
 def test_solve_rejects_a_factor_whose_residual_lies_between_the_thresholds():
@@ -345,16 +345,77 @@ def test_solve_rejects_a_factor_whose_residual_lies_between_the_thresholds():
     # delta / (1 + delta), whatever A's conditioning: far above the 1e-9 the
     # gate accepts, far below a loose 1e-1.
     model = make_clustered(26, 40, 2)
-    A, out = sgp.shifted_gram(model)
+    A = sgp._plus_lambda(model)
+    out = sgp.shifted_gram(model)
     perturbed = linalg.cholesky((1.0 + 1e-5) * A)
     B = np.random.default_rng(26).normal(size=(model.m, 3))
     R = A @ linalg.cho_solve(perturbed, B) - B
     rel = np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)
     assert np.all((1e-9 < rel) & (rel < 1e-1))
     with pytest.raises(NumericalFailure, match="relative residual"):
-        sgp._solve(A, perturbed, B)
-    X = sgp._solve(A, out, B)
+        sgp._solve(model, perturbed, B)
+    X = sgp._solve(model, out, B)
     assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
+
+
+@pytest.mark.parametrize("tile", [None, 280, 40])
+def test_solve_gate_checks_every_row_of_every_tile(monkeypatch, tile):
+    # The factor of A + delta e_i e_i^T leaves a residual in row i alone, so
+    # a gate that skips a row, or a tile, of the rebuilt A lets it through.
+    # At M = 40 and 3 right-hand sides the tiles are one partial tile, 7 rows
+    # each with a partial last one, and one row each.
+    if tile is not None:
+        monkeypatch.setattr(sgp, "_GATE_TILE", tile)
+    model = make_clustered(27, 40, 2)
+    assert model.m == 40
+    A = sgp._plus_lambda(model)
+    B = np.random.default_rng(27).normal(size=(model.m, 3))
+    X = sgp._solve(model, sgp.shifted_gram(model), B)
+    assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
+    for i in range(model.m):
+        bumped = A.copy()
+        bumped[i, i] *= 1.0 + 1e-4
+        with pytest.raises(NumericalFailure, match="relative residual"):
+            sgp._solve(model, linalg.cholesky(bumped), B)
+
+
+def test_shifted_gram_and_solve_hold_one_m_by_m_array():
+    # K_zz + Lambda is factored where it is formed and the gate rebuilds it in
+    # tiles, so the factor is the only M x M array alive at any time.
+    rng = np.random.default_rng(28)
+    m = 1500
+    kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.5, 0.5]))
+    model = ClusteredModel(
+        kernel, 0.1, rng.uniform(-5.0, 5.0, size=(m, 2)), np.zeros(m), np.full(m, 0.1), np.ones(m, dtype=int)
+    )
+    B = rng.normal(size=(m, 8))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        X = sgp._solve(model, sgp.shifted_gram(model), B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * m * m * 8
+    assert np.max(np.abs(sgp._plus_lambda(model) @ X - B)) <= 1e-8 * np.max(np.abs(B))
+
+
+def test_sample_targets_holds_one_n_by_n_array():
+    rng = np.random.default_rng(29)
+    n = 1000
+    kernel = Kernel(Family.MATERN32, 1.0, np.array([0.7, 0.7]))
+    X = rng.uniform(-5.0, 5.0, size=(n, 2))
+    Q = rng.uniform(-5.0, 5.0, size=(16, 2))
+    sample_targets(kernel, 0.1, X[:20], 0, Q)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y, belief = sample_targets(kernel, 0.1, X, 0, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * n * n * 8
+    assert y.shape == (n,) and belief.cov.shape == (16, 16)
 
 
 def test_posterior_calls_outside_a_solve_log_keep_no_memory():
