@@ -118,7 +118,7 @@ def _read_header(fh) -> tuple[list, int]:
 _INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 # Characters decoded at a time while the data rows are scanned for them.
-_SCAN_CHUNK = 1 << 20
+_SCAN_CHUNK = 1 << 16
 
 
 def _loadtxt_rows(fh, width: int, skiprows: int) -> Optional[np.ndarray]:

@@ -1,4 +1,4 @@
-"""Stationary covariance kernels, Gram-matrix assembly, and structured test matrices.
+"""Stationary covariance kernels, Gram-matrix assembly and its derivatives, and structured test matrices.
 
 All kernels are of the form k(x, x') = variance * kappa(u) where u is the
 lengthscale-weighted Euclidean distance between x and x' and kappa is one of
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -162,32 +163,31 @@ def _check_points(X: np.ndarray, dim: int, name: str) -> np.ndarray:
     return X
 
 
-def _scaled_dists(A: np.ndarray, B: np.ndarray, k: Kernel, profiled: bool = False) -> np.ndarray:
-    """Lengthscale-weighted pairwise distances, or with profiled=True the Gram of k, in row tiles.
+def _distance_tiles(A: np.ndarray, B: np.ndarray, k: Kernel, out: Optional[np.ndarray] = None):
+    """Yield (rows, tile): the lengthscale-weighted distances from A[rows] to B, in row tiles.
 
     Each tile holds at most _CHUNK entries.  Its squared distances are
     accumulated in the tile itself, coordinate 0 first, through one
-    tile-sized difference buffer; with profiled=True the tile is then turned
-    into variance * kappa(u) while it is still in cache.
+    tile-sized difference buffer.  With out (n x m) given, each tile is a
+    view of out's rows; without it, one tile-sized buffer is reused, so a
+    tile must be consumed before the next is asked for.
     """
     n, m = A.shape[0], B.shape[0]
-    out = np.empty((n, m), dtype=float)
     rows = max(1, _CHUNK // max(1, m))
+    buf = np.empty((min(n, rows), m)) if out is None else out
     diff = np.empty((min(n, rows), m)) if A.shape[1] > 1 else None
     for start in range(0, n, rows):
-        tile = out[start : start + rows]
+        block = slice(start, min(n, start + rows))
+        tile = buf[block] if out is not None else buf[: block.stop - start]
         for l in range(A.shape[1]):
             d = tile if l == 0 else diff[: len(tile)]  # coordinate 0 is squared in the tile itself
-            np.subtract(A[start : start + rows, l, None], B[None, :, l], out=d)
+            np.subtract(A[block, l, None], B[None, :, l], out=d)
             d /= k.lengthscales[l]
             d *= d
             if l:
                 tile += d
         np.sqrt(tile, out=tile)
-        if profiled:
-            _profile(k.family, tile)
-            tile *= k.variance
-    return out
+        yield block, tile
 
 
 def gram(k: Kernel, A, B=None) -> np.ndarray:
@@ -201,32 +201,50 @@ def gram(k: Kernel, A, B=None) -> np.ndarray:
     """
     A = _check_points(A, k.dim, "A")
     B = A if B is None else _check_points(B, k.dim, "B")
-    return _scaled_dists(A, B, k, profiled=True)
+    out = np.empty((A.shape[0], B.shape[0]))
+    for _, tile in _distance_tiles(A, B, k, out):
+        _profile(k.family, tile)
+        tile *= k.variance
+    return out
 
 
-def gram_gradients(k: Kernel, A, B=None):
-    """Kernel matrix plus its analytic derivatives w.r.t. the log-lengthscales.
+def gram_gradients(k: Kernel, A, B, P) -> np.ndarray:
+    """The contractions sum(dK/dlog theta * P) of the Gram's derivatives with P.
 
-    Returns (K, dK_dlogls) where dK_dlogls is a list of one matrix per input
-    dimension, dK/dlog ls_l = g(u) diff_l^2 / ls_l^2.  The derivative w.r.t.
-    log variance is K itself, so none is returned.  With B omitted every
-    matrix is exactly symmetric, for the reason given in gram().
+    K = gram(k, A, B) (B None meaning A), P has K's shape, and theta runs
+    over (variance, lengthscales...): the result holds d + 1 numbers,
+    vdot(K, P) first, since dK/dlog variance is K itself, then
+    vdot(G * D_l^2, P) / ls_l^2 with G = variance * g(u) and D_l the
+    coordinate-l differences.  No derivative matrix is stored: each row
+    tile of at most _CHUNK entries is formed and contracted in turn, its
+    scaled distances, then G, then kappa, then each D_l^2.  Every entry
+    depends on its pair symmetrically (see gram), so the contraction is
+    taken along P's contiguous axis: a Fortran-ordered P is read as P.T
+    against the transposed pair of point sets.
     """
     A = _check_points(A, k.dim, "A")
     B = A if B is None else _check_points(B, k.dim, "B")
-    U = _scaled_dists(A, B, k)
-    G = _profile_radial_factor(k.family, U)  # before _profile overwrites U
-    G *= k.variance
-    K = _profile(k.family, U)
-    K *= k.variance
-    dK_dlogls = []
-    for l in range(k.dim):
-        D = np.subtract(A[:, l, None], B[None, :, l])
-        D *= D
-        D *= G
-        D /= k.lengthscales[l] ** 2
-        dK_dlogls.append(D)
-    return K, dK_dlogls
+    P = np.asarray(P, dtype=float)
+    if P.shape != (A.shape[0], B.shape[0]):
+        raise ValueError(f"P has shape {P.shape}, the Gram has {(A.shape[0], B.shape[0])}")
+    if P.flags.f_contiguous and not P.flags.c_contiguous:
+        A, B, P = B, A, P.T
+    g = np.zeros(k.dim + 1)
+    D = None  # one tile-sized buffer for each D_l^2, sliced for a shorter last tile
+    for rows, U in _distance_tiles(A, B, k):
+        Pt = P[rows]
+        G = _profile_radial_factor(k.family, U)  # before _profile overwrites U
+        G *= k.variance
+        K = _profile(k.family, U)
+        K *= k.variance
+        g[0] += np.vdot(K, Pt)  # np.vdot of two real matrices is the sum of their elementwise product
+        D = np.empty_like(U) if D is None else D[: len(U)]
+        for l in range(k.dim):
+            np.subtract(A[rows, l, None], B[None, :, l], out=D)
+            D *= D
+            D *= G
+            g[1 + l] += np.vdot(D, Pt) / k.lengthscales[l] ** 2
+    return g
 
 
 def kms_matrix(rho: float, n: int) -> np.ndarray:

@@ -156,11 +156,15 @@ def cholesky(A: np.ndarray, tag: str = "") -> CholeskyOutcome:
     return _factor_in_place(np.array(A, dtype=float, order="F").T, tag)
 
 
-def cho_solve(outcome: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = B given a factorization."""
+def cho_solve(outcome: CholeskyOutcome, B: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """Solve (L L^T) x = B given a factorization.
+
+    B is never written unless overwrite_b=True, as in scipy; then a
+    nonempty Fortran-ordered float64 B is solved in place and returned.
+    """
     rhs = 1 if np.ndim(B) == 1 else np.shape(B)[1]
     _record({"kind": "cho_solve", "tag": outcome.tag, "n": outcome.factor.shape[0], "rhs": rhs})
-    return sla.cho_solve((outcome.factor, True), B, check_finite=False)
+    return sla.cho_solve((outcome.factor, True), B, overwrite_b=overwrite_b, check_finite=False)
 
 
 def conjugate_gradient(

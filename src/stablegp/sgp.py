@@ -9,14 +9,15 @@ nearest inducing point, and every linear solve it performs is against
 K_zz + Lambda, never against K_zz alone.  Separation bounds the condition
 number of that matrix, so it is factored once per model or training step,
 in place, by a plain Cholesky with no jitter (shifted_gram), and every solve
-goes through that factor; the residual gate rebuilds the matrix tile by
-tile, so it is never held beside its factor.  That is the only factorization
-made here, and no jitter is tried anywhere: a failed factorization or solve
-raises NumericalFailure.  sample_targets draws synthetic targets from
+goes through that factor; the residual gate forms the matrix tile by tile,
+from K_zz where the caller holds it, so it is never held beside its factor.
+That is the only factorization made here, and no jitter is tried anywhere: a
+failed factorization or solve raises NumericalFailure.  sample_targets draws synthetic targets from
 N(0, K_xx + sigma^2 I) through the factor the exact posterior given them
 uses, so a synthetic problem costs one Cholesky.  The training loop
 optimizes kernel hyperparameters and the noise by stochastic first-order
-steps with analytic gradients; the trace terms of those gradients can be
+steps with analytic gradients, taken over the batch in column blocks with
+no derivative matrix stored; the trace terms of those gradients can be
 estimated with Hutchinson probes.
 """
 
@@ -59,6 +60,14 @@ _RESIDUAL_ACCEPT = 1e-9
 # solve at M = 139 with 1,021 columns took 10.0 ms against 8.0 ms (2-core
 # x86_64 VM, one BLAS thread).
 _GATE_TILE = 1 << 18
+
+# Narrowest block of batch points a training step solves and contracts at
+# once.  A block is max(M, _BATCH_BLOCK) points wide, so the step holds a few
+# M x max(M, 256) arrays whatever the batch size.  Blocks narrower than M cost
+# time for little memory: at M = 999 and b = 1000 a fixed 256 took 287 ms a
+# step against 270 ms, for 32.7 against 42.4 MiB traced (2-core x86_64 VM,
+# one BLAS thread).
+_BATCH_BLOCK = 256
 
 # Most query points a diagonal-only clustered posterior handles at once: its
 # working memory is O(M * _QUERY_BLOCK) whatever the number of queries.
@@ -256,31 +265,35 @@ def _plus_lambda(model: ClusteredModel, K: Optional[np.ndarray] = None) -> np.nd
     return A
 
 
-def _solve(model: ClusteredModel, out: CholeskyOutcome, B: np.ndarray) -> np.ndarray:
+def _solve(model: ClusteredModel, out: CholeskyOutcome, B: np.ndarray, K: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve (K_zz + Lambda) X = B through its factor, gated on the true relative residual.
 
     Each column is solved and gated divided by the power of two just above its
     largest |entry| (exact), so the gate's norms cannot under- or overflow.
-    The gate rebuilds A = K_zz + Lambda from the model a tile of rows at a
-    time, each tile and its rows of B - A X at most _GATE_TILE entries, so it
-    holds no M x M array and no residual the size of B.
+    The scaled B is written into one Fortran-ordered buffer and solved there
+    in place; B itself is not written.  The gate forms A = K_zz + Lambda a
+    tile of rows at a time, from K = K_zz when the caller holds it and else
+    from the model (gram(z[rows], z) is gram(z)[rows] bit for bit), and
+    subtracts the scaled rows of B there, each tile and its rows of B - A X
+    at most _GATE_TILE entries: it holds no M x M array and nothing the size
+    of B beside the solution.
     """
     # max|B| per column without an abs temporary; frexp gives e = 0 for a zero column
     e = np.frexp(np.maximum(B.max(axis=0, initial=0.0), -B.min(axis=0, initial=0.0)))[1]
-    B = np.ldexp(B, -e)
-    X = cho_solve(out, B)
+    X = np.ldexp(B, -e, out=np.empty(B.shape, order="F"))
+    scale = np.sqrt(np.einsum("i...,i...->...", X, X))  # the scaled B's column norms, before X is solved
+    X = cho_solve(out, X, overwrite_b=True)
     m = model.m
     rows = max(1, _GATE_TILE // max(m, math.prod(B.shape[1:])))
     # per-column sums of squares, with no squared temporary the size of B
     sq = np.zeros(B.shape[1:])
     for start in range(0, m, rows):
         tile = slice(start, start + rows)
-        R = gram(model.kernel, model.z[tile], model.z)
+        R = gram(model.kernel, model.z[tile], model.z) if K is None else K[tile].copy()
         R.reshape(-1)[start :: m + 1] += model.lam[tile]  # A's diagonal entries in these rows
         R = R @ X
-        R -= B[tile]
+        R -= np.ldexp(B[tile], -e)
         sq += np.einsum("i...,i...->...", R, R)
-    scale = np.sqrt(np.einsum("i...,i...->...", B, B))
     rel = np.sqrt(sq) / np.where(scale > 0.0, scale, 1.0)
     if not np.all(rel <= _RESIDUAL_ACCEPT):
         raise NumericalFailure(f"solve against K_zz + Lambda: worst relative residual {np.max(rel):.3e}")
@@ -356,7 +369,7 @@ def kl_to_prior(model: ClusteredModel, probes: Optional[int] = None, seed=0) -> 
     V, w = _trace_probes(model.m, probes, seed)
     K = gram(model.kernel, model.z)
     out = shifted_gram(model, K)
-    sol = _solve(model, out, np.column_stack([model.u, K @ V]))
+    sol = _solve(model, out, np.column_stack([model.u, K @ V]), K)
     v = sol[:, 0]
     return _kl(out, model.lam, v, K @ v, V, sol[:, 1:], w)
 
@@ -381,37 +394,73 @@ def _objective_and_grads(
     In the gradient of the KL term the 0.5 tr(A^{-1} dK) contributions of the
     log-determinant and the trace term cancel exactly.  What remains, with
     the data fit, is linear in dK_zz and dK_zb, so each kernel parameter's
-    gradient is sum(dK_zz * P) + sum(dK_zb * Pb) for two adjoints P and Pb
-    formed once per step.  d/dlog variance of K_zz and K_zb is K_zz and K_zb
-    themselves, and the noise enters through dA = dLambda/dlog sigma^2 = Lambda.
+    gradient is sum(dK_zz * P) + sum(dK_zb * Pb) for two adjoints P and Pb.
+    d/dlog variance of K_zz and K_zb is K_zz and K_zb themselves, and the
+    noise enters through dA = dLambda/dlog sigma^2 = Lambda.
+
+    The batch is taken in blocks of max(M, _BATCH_BLOCK) points, each solved,
+    summed and contracted with its columns of dK_zb (_batch_block) before the
+    next is formed, and gram_gradients contracts the derivatives tile by
+    tile, so no derivative matrix is stored and the step's memory is
+    O(M^2 + M max(M, _BATCH_BLOCK)) whatever the batch size.  P is formed
+    once, in place, after the last block.
     """
     k = model.kernel
     sigma2 = model.noise_sigma2
     b = Xb.shape[0]
     c = n_total / b / (2.0 * sigma2)  # weight of the batch's squared error
 
-    K, dK_dlogls = gram_gradients(k, model.z)
+    K = gram(k, model.z)
     out = shifted_gram(model, K)
-    kb, dkb_dlogls = gram_gradients(k, model.z, Xb)
     V, w = _trace_probes(model.m, probes, seed)
     p = V.shape[1]
-    sol = _solve(model, out, np.column_stack([model.u, kb, V, K @ V]))
-    v, W, T, Wm = sol[:, 0], sol[:, 1 : 1 + b], sol[:, 1 + b : 1 + b + p], sol[:, 1 + b + p :]
+    sol = _solve(model, out, np.column_stack([model.u, V, K @ V]), K)
+    v, T, Wm = sol[:, 0], sol[:, 1 : 1 + p], sol[:, 1 + p :]
+
+    sq, Wr, g = 0.0, np.zeros(model.m), np.zeros(k.dim + 1)  # Wr accumulates W @ resid
+    WWt = np.zeros((model.m, model.m))
+    width = max(model.m, _BATCH_BLOCK)
+    for start in range(0, b, width):
+        block = slice(start, start + width)
+        sq_block, Wr_block, g_block = _batch_block(model, out, K, v, c, Xb[block], yb[block], WWt)
+        sq += sq_block
+        Wr += Wr_block
+        g += g_block
 
     Kv = K @ v
-    resid = yb - kb.T @ v
-    sq = float(np.sum(resid**2 + k.variance - np.einsum("mb,mb->b", kb, W)))
     value = _kl(out, model.lam, v, Kv, V, Wm, w) + 0.5 * n_total * math.log(2.0 * math.pi * sigma2) + c * sq
 
-    t2 = _solve(model, out, Kv)
-    P = 0.5 * w * (T @ Wm.T) + np.outer(0.5 * v - t2 + 2.0 * c * (W @ resid), v) + c * (W @ W.T)
-    Pb = -2.0 * c * (np.outer(v, resid) + W)
-    # np.vdot of two real matrices is the sum of their elementwise product
-    g = [np.vdot(dK, P) + np.vdot(dkb, Pb) for dK, dkb in zip([K] + dK_dlogls, [kb] + dkb_dlogls)]
+    t2 = _solve(model, out, Kv, K)
+    # P = 0.5 w T Wm^T + (0.5 v - t2 + 2c W resid) v^T + c W W^T, formed in W W^T's
+    # memory; the first two terms are one product
+    P = WWt
+    P *= c
+    P += np.column_stack([0.5 * w * T, 0.5 * v - t2 + 2.0 * c * Wr]) @ np.column_stack([Wm, v]).T
+    g += gram_gradients(k, model.z, None, P)
     g[0] += c * b * k.variance  # d/dlog variance of the data fit's c * sum_b k(x, x)
     Ainv_diag = w * np.einsum("mp,mp->m", T, V)  # diag(A^{-1}) read through the probes
-    g.append(model.lam @ (np.diag(P) + 0.5 * (Ainv_diag - v * v)) + 0.5 * (n_total - model.m) - c * sq)
-    return value, np.array(g)
+    g_noise = model.lam @ (np.diag(P) + 0.5 * (Ainv_diag - v * v)) + 0.5 * (n_total - model.m) - c * sq
+    return value, np.append(g, g_noise)
+
+
+def _batch_block(model: ClusteredModel, out: CholeskyOutcome, K, v, c: float, X, y, WWt: np.ndarray):
+    """One block of batch points' share of a training step: (data-fit sum, W @ resid, Pb contraction).
+
+    W = A^{-1} K_zb and resid = y - K_zb^T v for the block's points; W W^T is
+    added into WWt once K_zb is let go, and Pb = -2c (v resid^T + W) is
+    formed in W's memory and contracted with the block's dK_zb.
+    """
+    k = model.kernel
+    kb = gram(k, model.z, X)
+    W = _solve(model, out, kb, K)
+    resid = y - kb.T @ v
+    sq = float(np.sum(resid**2 + k.variance - np.einsum("mb,mb->b", kb, W)))
+    del kb  # the rest of the block needs only W
+    WWt += W @ W.T
+    Wr = W @ resid
+    W += np.outer(v, resid)
+    W *= -2.0 * c
+    return sq, Wr, gram_gradients(k, model.z, X, W)
 
 
 def training_objective(

@@ -74,6 +74,16 @@ MUTANTS = {
         "for start in range(0, m, rows):",
         "for start in range(0, m - m % rows, rows):",
     ),
+    "batch-block-drops-last-partial": (
+        "sgp.py",
+        "for start in range(0, b, width):",
+        "for start in range(0, max(b - b % width, 1), width):",
+    ),
+    "contraction-skips-last-row-tile": (
+        "kernels.py",
+        "        Pt = P[rows]\n",
+        "        if rows.start and rows.stop == len(A):\n            break\n        Pt = P[rows]\n",
+    ),
     "cholesky-flags-at-n-11": (
         "diagnostics.py",
         "n_pred = max(model.m, 11)",

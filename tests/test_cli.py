@@ -279,6 +279,27 @@ def test_load_csv_fast_and_slow_paths_agree_on_random_files(tmp_path, monkeypatc
     assert accepted > 30
 
 
+def test_load_csv_scans_the_rows_in_small_chunks(tmp_path, monkeypatch):
+    # The rows are decoded _SCAN_CHUNK characters at a time before loadtxt
+    # parses them, so on 50,000 rows (3.8 MB of text) the read holds about
+    # the 1.2 MB result, loadtxt's own buffers and one chunk; the arrays do
+    # not depend on the chunk size.
+    rng = np.random.default_rng(23)
+    path = tmp_path / "big.csv"
+    write_csv_dataset(str(path), Dataset(rng.normal(size=(50_000, 2)), rng.normal(size=50_000)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        X, y = cli._load_csv_columns(str(path), require_targets=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2.5 * 2**20
+    monkeypatch.setattr(cli, "_SCAN_CHUNK", 1 << 20)
+    X_wide, y_wide = cli._load_csv_columns(str(path), require_targets=True)
+    assert _bit_equal((X, y), (X_wide, y_wide))
+
+
 # ---------------------------------------------------------------------------
 # select
 

@@ -13,7 +13,7 @@ from stablegp import (
     gram_gradients,
     kms_matrix,
 )
-from support import eval_kernel
+from support import eval_kernel, reference_gram_gradients
 
 ALL_FAMILIES = [
     Family.SQUARED_EXPONENTIAL,
@@ -79,31 +79,21 @@ def test_gram_single_point():
     assert G[0, 0] == pytest.approx(3.0, abs=0.0)
 
 
-def _reference_gram_gradients(k, A, B):
-    """Out-of-place reference for gram_gradients: every temporary is a new array."""
-    U = np.zeros((A.shape[0], B.shape[0]))
-    for l in range(A.shape[1]):
-        diff = (A[:, l, None] - B[None, :, l]) / k.lengthscales[l]
-        U += diff * diff
-    U = np.sqrt(U)
-    if k.family == Family.SQUARED_EXPONENTIAL:
-        kappa = np.exp(-0.5 * U * U)
-    elif k.family == Family.MATERN12:
-        kappa = np.exp(-U)
-    elif k.family == Family.MATERN32:
-        su = math.sqrt(3.0) * U
-        kappa = (1.0 + su) * np.exp(-su)
-    else:
-        su = math.sqrt(5.0) * U
-        kappa = (1.0 + su + su * su / 3.0) * np.exp(-su)
-    K = k.variance * kappa
-    G = k.variance * kernels._profile_radial_factor(k.family, U.copy())
-    dK_dlogls = [G * (A[:, l, None] - B[None, :, l]) ** 2 / k.lengthscales[l] ** 2 for l in range(A.shape[1])]
-    return K, dK_dlogls
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _contraction_error(g, k, A, B, P):
+    """|g - vdot(dK, P)| over the reference derivative matrices, relative to vdot(|dK|, |P|).
+
+    vdot(|dK|, |P|) is the size of the rounding any order of summing the
+    products can carry, so the ratio is summation error, not cancellation.
+    """
+    K_ref, dK_dlogls_ref = reference_gram_gradients(k, A, B)
+    mats = [K_ref] + dK_dlogls_ref
+    want = np.array([np.vdot(M, P) for M in mats])
+    scale = np.array([np.vdot(np.abs(M), np.abs(P)) for M in mats])
+    return np.max(np.abs(g - want) / np.where(scale > 0.0, scale, 1.0))
 
 
 def test_gram_matches_bruteforce_loop(monkeypatch):
@@ -116,9 +106,11 @@ def test_gram_matches_bruteforce_loop(monkeypatch):
         for i in range(5):
             for j in range(4):
                 assert G[i, j] == pytest.approx(eval_kernel(k, A[i], B[j]), abs=1e-14)
-    # gram and gram_gradients work in place on their own buffers; the result
-    # is the out-of-place formula bit for bit, across chunk boundaries too,
-    # and the inputs are left as they were.
+    # gram works in place on its own buffers, and its result is the
+    # out-of-place formula bit for bit; gram_gradients contracts the
+    # derivatives tile by tile, and its sums are those of the reference
+    # matrices to rounding, whether P is C- or Fortran-ordered.  Both hold
+    # across chunk boundaries too, and the inputs are left as they were.
     for chunk in (kernels._CHUNK, 50, 1):
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
         for d in (1, 2, 3):
@@ -127,14 +119,19 @@ def test_gram_matches_bruteforce_loop(monkeypatch):
             A_before, B_before = A.copy(), B.copy()
             for family in ALL_FAMILIES:
                 k = Kernel(family, 1.7, rng.uniform(0.4, 2.0, size=d))
-                for args in ((A,), (A, B)):
-                    K, dK_dlogls = gram_gradients(k, *args)
-                    K_ref, dK_dlogls_ref = _reference_gram_gradients(k, A, args[-1])
-                    assert _same_bits(gram(k, *args), K_ref)
-                    assert _same_bits(K, K_ref)
-                    assert len(dK_dlogls) == d
-                    assert all(_same_bits(D, D_ref) for D, D_ref in zip(dK_dlogls, dK_dlogls_ref))
+                for other in (None, B):
+                    K_ref, _ = reference_gram_gradients(k, A, other)
+                    assert _same_bits(gram(k, A, other), K_ref)
+                    P_c = rng.normal(size=K_ref.shape)
+                    for P in (P_c, np.asfortranarray(P_c)):
+                        P_before = P.copy()
+                        g = gram_gradients(k, A, other, P)
+                        assert g.shape == (d + 1,)
+                        assert _contraction_error(g, k, A, other, P) <= 1e-13
+                        assert _same_bits(P, P_before)
             assert _same_bits(A, A_before) and _same_bits(B, B_before)
+    with pytest.raises(ValueError, match="shape"):
+        gram_gradients(k, A, B, np.zeros((len(B), len(A))))
 
 
 def test_gram_square_is_bitwise_symmetric_with_variance_diagonal():
@@ -146,10 +143,18 @@ def test_gram_square_is_bitwise_symmetric_with_variance_diagonal():
             G = gram(k, A)
             assert np.array_equal(G, G.T)
             assert np.all(G.diagonal() == 2.2)
-            K, dK_dlogls = gram_gradients(k, A)
-            assert np.array_equal(K, G)
-            for D in dK_dlogls:
-                assert np.array_equal(D, D.T)
+            # Contracting with the unit matrix E_ij reads entry (i, j) of K and
+            # of each derivative exactly, since every other product is zero.
+            def entries(i, j):
+                E = np.zeros((40, 40))
+                E[i, j] = 1.0
+                return gram_gradients(k, A, None, E)
+
+            for i, j in rng.integers(0, 40, size=(12, 2)):
+                got = entries(i, j)
+                assert got[0] == G[i, j]
+                assert _same_bits(got, entries(j, i))
+            assert _same_bits(entries(7, 7), np.array([2.2] + [0.0] * d))
 
 
 def test_gram_psd_on_random_inputs():

@@ -67,6 +67,24 @@ def test_cholesky_of_the_empty_matrix():
     assert linalg.cho_solve(out, np.zeros((0, 3))).shape == (0, 3)
 
 
+def test_cho_solve_writes_its_right_hand_side_only_when_asked():
+    rng = np.random.default_rng(7)
+    G = rng.normal(size=(6, 6))
+    out = cholesky(G @ G.T + 6.0 * np.eye(6))
+    B = rng.normal(size=(6, 4))
+    want = linalg.sla.cho_solve((out.factor, True), B)
+    for given in (B.copy(), np.asfortranarray(B), B[:, 0].copy()):
+        before = given.copy()
+        X = linalg.cho_solve(out, given)
+        assert np.array_equal(given, before)
+        assert not np.shares_memory(X, given)
+        np.testing.assert_allclose(X, want if given.ndim == 2 else want[:, 0], rtol=1e-13, atol=0.0)
+    for given in (np.asfortranarray(B), B[:, 0].copy()):
+        X = linalg.cho_solve(out, given, overwrite_b=True)
+        assert X is given
+        np.testing.assert_allclose(X, want if given.ndim == 2 else want[:, 0], rtol=1e-13, atol=0.0)
+
+
 def test_cholesky_failure_raises_naming_its_tag():
     with solve_log() as log:
         with pytest.raises(NumericalFailure) as err:

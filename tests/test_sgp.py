@@ -31,7 +31,7 @@ from stablegp import sgp
 from stablegp.cli import EXIT_NUMERICAL, main
 from stablegp import linalg
 from stablegp.linalg import solve_log
-from support import write_csv_dataset
+from support import reference_objective_and_grads, write_csv_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +320,9 @@ def test_posterior_scales_with_targets_of_any_magnitude(full_cov):
 
 
 def test_solve_gate_holds_no_squared_temporary_the_size_of_the_right_hand_sides():
-    # The scaled B, the solution and the residual are the only B-sized arrays
-    # _solve needs; the gate's column norms must not add a fourth.
+    # The solution and the gate's residual tiles are the only B-sized arrays
+    # _solve needs; the gate's column norms must not add another, whether it
+    # rebuilds K_zz or is given it.
     rng = np.random.default_rng(25)
     kernel = Kernel(Family.SQUARED_EXPONENTIAL, 1.0, np.array([0.5, 0.5]))
     model = ClusteredModel(
@@ -329,21 +330,23 @@ def test_solve_gate_holds_no_squared_temporary_the_size_of_the_right_hand_sides(
     )
     out = sgp.shifted_gram(model)
     B = rng.normal(size=(400, 2048))
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        X = sgp._solve(model, out, B)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 3.5 * B.nbytes
-    assert np.max(np.abs(sgp._plus_lambda(model) @ X - B)) <= 1e-8 * np.max(np.abs(B))
+    for K in (None, gram(kernel, model.z)):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            X = sgp._solve(model, out, B, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 3.5 * B.nbytes
+        assert np.max(np.abs(sgp._plus_lambda(model) @ X - B)) <= 1e-8 * np.max(np.abs(B))
 
 
 def test_solve_rejects_a_factor_whose_residual_lies_between_the_thresholds():
     # The factor of (1 + delta) A solves A X = B to the true relative residual
     # delta / (1 + delta), whatever A's conditioning: far above the 1e-9 the
-    # gate accepts, far below a loose 1e-1.
+    # gate accepts, far below a loose 1e-1.  The gate is given K_zz or
+    # rebuilds it.
     model = make_clustered(26, 40, 2)
     A = sgp._plus_lambda(model)
     out = sgp.shifted_gram(model)
@@ -352,31 +355,63 @@ def test_solve_rejects_a_factor_whose_residual_lies_between_the_thresholds():
     R = A @ linalg.cho_solve(perturbed, B) - B
     rel = np.linalg.norm(R, axis=0) / np.linalg.norm(B, axis=0)
     assert np.all((1e-9 < rel) & (rel < 1e-1))
-    with pytest.raises(NumericalFailure, match="relative residual"):
-        sgp._solve(model, perturbed, B)
-    X = sgp._solve(model, out, B)
-    assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
+    for K in (None, gram(model.kernel, model.z)):
+        with pytest.raises(NumericalFailure, match="relative residual"):
+            sgp._solve(model, perturbed, B, K)
+        X = sgp._solve(model, out, B, K)
+        assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
 
 
 @pytest.mark.parametrize("tile", [None, 280, 40])
 def test_solve_gate_checks_every_row_of_every_tile(monkeypatch, tile):
     # The factor of A + delta e_i e_i^T leaves a residual in row i alone, so
-    # a gate that skips a row, or a tile, of the rebuilt A lets it through.
-    # At M = 40 and 3 right-hand sides the tiles are one partial tile, 7 rows
-    # each with a partial last one, and one row each.
+    # a gate that skips a row, or a tile, of the formed A lets it through,
+    # whether it rebuilds K_zz or is given it.  At M = 40 and 3 right-hand
+    # sides the tiles are one partial tile, 7 rows each with a partial last
+    # one, and one row each.
     if tile is not None:
         monkeypatch.setattr(sgp, "_GATE_TILE", tile)
     model = make_clustered(27, 40, 2)
     assert model.m == 40
     A = sgp._plus_lambda(model)
     B = np.random.default_rng(27).normal(size=(model.m, 3))
-    X = sgp._solve(model, sgp.shifted_gram(model), B)
-    assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
-    for i in range(model.m):
-        bumped = A.copy()
+    for K in (None, gram(model.kernel, model.z)):
+        X = sgp._solve(model, sgp.shifted_gram(model), B, K)
+        assert np.max(np.abs(A @ X - B)) <= 1e-8 * np.max(np.abs(B))
+        for i in range(model.m):
+            bumped = A.copy()
+            bumped[i, i] *= 1.0 + 1e-4
+            with pytest.raises(NumericalFailure, match="relative residual"):
+                sgp._solve(model, linalg.cholesky(bumped), B, K)
+
+
+@pytest.mark.parametrize("tile", [None, 280, 40])
+def test_solve_given_K_is_the_rebuilt_solve_bit_for_bit(monkeypatch, tile):
+    # gram(z[rows], z) is gram(z)[rows] bit for bit, so the gate's tiles, and
+    # with them its verdicts, do not depend on where K_zz comes from; B is
+    # never written, whatever its order.
+    if tile is not None:
+        monkeypatch.setattr(sgp, "_GATE_TILE", tile)
+    model = make_clustered(30, 40, 2)
+    K = gram(model.kernel, model.z)
+    out = sgp.shifted_gram(model)
+    rng = np.random.default_rng(30)
+    for B in (rng.normal(size=(model.m, 5)), np.asfortranarray(rng.normal(size=(model.m, 5))), model.u):
+        B_before = B.copy()
+        X = sgp._solve(model, out, B)
+        assert X.tobytes() == sgp._solve(model, out, B, K).tobytes()
+        assert X.tobytes() == linalg.cho_solve(out, B).tobytes()
+        assert B.tobytes() == B_before.tobytes()
+    for i in range(0, model.m, 7):
+        bumped = sgp._plus_lambda(model)
         bumped[i, i] *= 1.0 + 1e-4
-        with pytest.raises(NumericalFailure, match="relative residual"):
-            sgp._solve(model, linalg.cholesky(bumped), B)
+        factor = linalg.cholesky(bumped)
+        messages = []
+        for K_arg in (None, K):
+            with pytest.raises(NumericalFailure) as err:
+                sgp._solve(model, factor, model.u, K_arg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 def test_shifted_gram_and_solve_hold_one_m_by_m_array():
@@ -648,6 +683,68 @@ def test_hutchinson_gradients_are_unbiased():
     assert np.all(np.abs(draws.mean(axis=0) - exact) <= 4.0 * stderr)
 
 
+def _training_problem(seed, m, b, d, family=Family.MATERN32, lengthscale=None):
+    """A clustered model of m inducing points at a fixed density and a batch of b points among them."""
+    rng = np.random.default_rng(seed)
+    half = 5.0 * (m / 140) ** (1.0 / d)  # about 140 points in [-5, 5]^d
+    ls = rng.uniform(0.4, 1.5, size=d) if lengthscale is None else np.full(d, lengthscale)
+    kernel = Kernel(family, float(rng.uniform(0.5, 2.0)), ls)
+    counts = rng.integers(1, 10, size=m)
+    sigma2 = float(rng.uniform(0.1, 0.6))
+    z = rng.uniform(-half, half, size=(m, d))
+    model = ClusteredModel(kernel, sigma2, z, rng.normal(size=m), sigma2 / counts, counts)
+    return model, rng.uniform(-half, half, size=(b, d)), rng.normal(size=b)
+
+
+def test_blocked_step_matches_the_whole_batch_reference():
+    # The step solves and contracts the batch in blocks of max(M, 256)
+    # points and never stores a derivative matrix; the reference solves the
+    # whole batch at once and stores them all.  Both sum the same products
+    # in other orders, so they agree to rounding, blocks of every size and
+    # a partial last block included.
+    cases = []
+    for i, (m, b) in enumerate([(30, 40), (30, 257), (120, 256), (120, 1000), (300, 257), (300, 1000)]):
+        for j, probes in enumerate([None, 10]):
+            for family in (list(Family)[(2 * i + j) % 4], list(Family)[(2 * i + j + 1) % 4]):
+                cases.append((m, b, 1 + (i + j) % 3, probes, family))
+    assert len(cases) == 24
+    for seed, (m, b, d, probes, family) in enumerate(cases):
+        model, X, y = _training_problem(seed, m, b, d, family)
+        value, g = sgp._objective_and_grads(model, X, y, 20 * b, probes, (seed, 1))
+        value_ref, g_ref = reference_objective_and_grads(model, X, y, 20 * b, probes, (seed, 1))
+        assert g.shape == g_ref.shape == (d + 2,)
+        assert abs(value - value_ref) <= 1e-12 * abs(value_ref), (m, b, d, probes, family)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref)), (m, b, d, probes, family)
+
+
+def _step_peak(model, X, y):
+    """Traced memory the training step adds at its peak, in bytes."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        sgp._objective_and_grads(model, X, y, 20_000, 10, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_training_step_holds_blocks_not_the_batch():
+    # At M = 140, b = 1000 and d = 2 the blocks are 256 points wide, and the
+    # largest arrays are a few M x 256 blocks besides K_zz, its factor and P
+    # (0.15 MiB each): with the batch solved whole and every derivative
+    # stored, the step held 7.1 MiB here.
+    model, X, y = _training_problem(31, 140, 1000, 2, lengthscale=0.5)
+    assert _step_peak(model, X, y) < 3.5 * 2**20
+
+
+def test_training_step_at_a_thousand_inducing_points_holds_under_two_thirds_of_the_whole_batch_step():
+    # At M = 999 and b = 1000 each array is about 7.6 MiB, and the step with
+    # the batch solved whole and every derivative stored held 76.6 MiB.
+    model, X, y = _training_problem(32, 999, 1000, 2, lengthscale=0.5)
+    assert _step_peak(model, X, y) < 0.65 * 76.6 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -696,19 +793,25 @@ def test_train_rejects_a_non_finite_gradient(tmp_path, monkeypatch):
     assert main(args + ["--out", str(tmp_path / "m.json")]) == EXIT_NUMERICAL
 
 
-def test_train_factors_once_and_solves_twice_per_step():
-    kernel, _, X, y, _ = random_problem(54, 90, 2)
-    data = Dataset(X, y)
-    model = fit_clustered(data, inducing_points(build(X, epsilon=0.8)), kernel, 0.3)
-    b, p = 40, 5
-    with solve_log() as log:
-        train(model, data, TrainConfig(steps=3, batch_size=b, probes=p, seed=4))
-    step = [
-        {"kind": "cholesky", "tag": "kzz_plus_lambda", "n": model.m},
-        {"kind": "cho_solve", "tag": "kzz_plus_lambda", "n": model.m, "rhs": 1 + b + 2 * p},
-        {"kind": "cho_solve", "tag": "kzz_plus_lambda", "n": model.m, "rhs": 1},
-    ]
-    assert log == 3 * step
+def test_train_factors_once_and_solves_once_per_batch_block():
+    # Per step: one factor, one solve for [u, V, K V], one per block of
+    # max(M, 256) batch points, and one for K v.
+    for n, b, blocks in [(90, 40, [40]), (700, 600, [256, 256, 88])]:
+        kernel, _, X, y, _ = random_problem(54, n, 2)
+        data = Dataset(X, y)
+        model = fit_clustered(data, inducing_points(build(X, epsilon=0.8)), kernel, 0.3)
+        assert model.m < sgp._BATCH_BLOCK
+        p = 5
+        with solve_log() as log:
+            train(model, data, TrainConfig(steps=3, batch_size=b, probes=p, seed=4))
+        solve = {"kind": "cho_solve", "tag": "kzz_plus_lambda", "n": model.m}
+        step = [
+            {"kind": "cholesky", "tag": "kzz_plus_lambda", "n": model.m},
+            {**solve, "rhs": 1 + 2 * p},
+            *({**solve, "rhs": width} for width in blocks),
+            {**solve, "rhs": 1},
+        ]
+        assert log == 3 * step
 
 
 def test_train_seed_determinism():
